@@ -56,21 +56,15 @@ def _fixed_point_params(section) -> tuple[float, int]:
     return tol, max_iter
 
 
-def _auto_lambda_grid(mixture, count: int, workers: int) -> np.ndarray:
+def _auto_lambda_grid(mixture, count: int) -> np.ndarray:
     """Locate the support by a coarse scan, then lay a linear grid over it."""
-    cache = mixture.spectral()
-    if cache is not None:
-        top = float(cache.class_eigs.max(initial=0.0))
-    else:
-        top = max(
-            float(np.linalg.eigvalsh(c.sigma)[-1]) for c in mixture.classes
-        )
+    top = max(float(c.eigenvalues.max(initial=0.0)) for c in mixture.classes)
     if top <= 0.0:
         return np.linspace(1e-6, 1.0, count)
     bound = 4.0 * (1.0 + np.sqrt(mixture.gamma)) ** 2 * top
     coarse = np.geomspace(bound * 1e-4, bound, 120)
     scan = density_prediction(
-        mixture, coarse, epsilon=1e-3 * bound, tol=1e-6, max_iter=500, workers=workers
+        mixture, coarse, epsilon=1e-3 * bound, tol=1e-6, max_iter=500
     )
     peak = scan.density.max()
     if peak <= 0.0:
@@ -85,7 +79,6 @@ def cmd_predict(
     config: ExperimentConfig,
     out_dir: str,
     seed: int | None = None,
-    threads: int = 1,
     verbose: bool = False,
 ) -> int:
     mixture = config.mixture()
@@ -112,11 +105,11 @@ def cmd_predict(
         if np.any(np.diff(lambdas) <= 0):
             raise ParameterError("lambda_grid must be strictly increasing")
     else:
-        lambdas = _auto_lambda_grid(mixture, 200, threads)
+        lambdas = _auto_lambda_grid(mixture, 200)
     span = float(lambdas[-1] - lambdas[0]) or float(lambdas[-1]) or 1.0
     eps_text = section.get("epsilon", "auto")
     epsilon = 1e-3 * span if eps_text.strip() == "auto" else float(eps_text)
-    pred = density_prediction(mixture, lambdas, epsilon, workers=threads)
+    pred = density_prediction(mixture, lambdas, epsilon)
     all_converged &= bool(pred.converged.all())
     _log(verbose, f"predict: density on {lambdas.size} points, epsilon={epsilon:g}")
 
@@ -158,7 +151,6 @@ def cmd_simulate(
     config: ExperimentConfig,
     out_dir: str,
     seed: int | None = None,
-    threads: int = 1,
     verbose: bool = False,
 ) -> int:
     section = config.simulate
@@ -216,7 +208,6 @@ def cmd_compare(
     config: ExperimentConfig,
     out_dir: str,
     seed: int | None = None,
-    threads: int = 1,
     verbose: bool = False,
 ) -> int:
     section = config.compare
@@ -276,7 +267,7 @@ def cmd_compare(
     span = float(lambdas[-1] - lambdas[0]) or 1.0
     eps_text = section.get("epsilon", "auto")
     epsilon = 1e-3 * span if eps_text.strip() == "auto" else float(eps_text)
-    pred = density_prediction(mixture, lambdas, epsilon, workers=threads)
+    pred = density_prediction(mixture, lambdas, epsilon)
     all_converged &= bool(pred.converged.all())
     pred_mass = _binned_prediction(pred, edges)
     hist_l1 = float(np.abs(emp_mass - pred_mass).sum())
@@ -311,143 +302,17 @@ def _record(name, value, stderr, n, seed, ok) -> str:
     )
 
 
-def _check_tail_fit(params, seed):
-    from .sampler import gaussian_class_spec, sample_class
-
-    p = int(params.get("p", 256))
-    samples = int(params.get("samples", 100_000))
-    q_lo = float(params.get("q_lo", 1.6))
-    q_hi = float(params.get("q_hi", 2.4))
-    spec = gaussian_class_spec(np.eye(p))
-    draws = sample_class(spec, samples, seed)
-    norms = np.linalg.norm(draws, axis=0)
-    dev = np.abs(norms - np.median(norms))
-    grid = conc_lab.tail_thresholds(dev)
-    profile = conc_lab.tail_profile(norms, grid)
-    fit = conc_lab.fit_exponential_tail(profile)
-    return [
-        ("tail_q", fit.exponent_q, None, samples, seed, q_lo <= fit.exponent_q <= q_hi),
-        ("tail_sigma", fit.tail_sigma, None, samples, seed, True),
-        ("tail_r2", fit.r2, None, samples, seed, True),
-    ]
-
-
-def _check_diameter(params, seed):
-    from .sampler import gaussian_class_spec
-
-    p_list = [int(v) for v in params.get("p_list", "64 256 1024").split()]
-    trials = int(params.get("trials", 2000))
-    ratio_max = float(params.get("ratio_max", 2.0))
-    values = []
-    records = []
-    for p in p_list:
-        spec = gaussian_class_spec(np.eye(p))
-        est = conc_lab.observable_diameter(
-            spec, ["euclidean-norm"], trials, conc_lab.derive_seed(seed, p)
-        )
-        values.append(est.value)
-        records.append((f"diameter_p{p}", est.value, est.stderr, trials, seed, True))
-    ratio = max(values) / min(values)
-    records.append(("diameter_ratio", ratio, None, trials, seed, ratio <= ratio_max))
-    return records
-
-
-def _check_quad_form(params, seed):
-    from .sampler import gaussian_class_spec
-
-    p = int(params.get("p", 100))
-    trials = int(params.get("trials", 10_000))
-    mean_tol = float(params.get("mean_tol", 0.5))
-    std_rtol = float(params.get("std_rtol", 0.1))
-    spec = gaussian_class_spec(np.eye(p))
-    check = conc_lab.quadratic_form_check(spec, np.eye(p), trials, seed)
-    std_target = np.sqrt(2.0 * p)
-    return [
-        (
-            "quadform_mean",
-            check.mean,
-            check.stderr,
-            trials,
-            seed,
-            abs(check.mean - p) <= mean_tol,
-        ),
-        (
-            "quadform_std",
-            check.std,
-            None,
-            trials,
-            seed,
-            abs(check.std - std_target) <= std_rtol * std_target,
-        ),
-    ]
-
-
-def _check_delta_gap(params, seed):
-    sizes = [int(v) for v in params.get("sizes", "100 200 400 800").split()]
-    gamma = float(params.get("gamma", 0.5))
-    z = float(params.get("z", 1.0))
-    trials = int(params.get("trials", 200))
-    slope_max = float(params.get("slope_max", -0.35))
-    report = conc_lab.delta_gap_sweep(sizes, gamma, z, trials, seed)
-    records = [
-        (f"delta_gap_n{int(n)}", err, None, trials, seed, True)
-        for n, err in zip(report.sizes, report.errors)
-    ]
-    records.append(
-        ("delta_gap_slope", report.slope, None, trials, seed, report.slope <= slope_max)
-    )
-    return records
-
-
-def _check_resolvent_error(params, seed):
-    sizes = [int(v) for v in params.get("sizes", "100 200 400 800").split()]
-    gamma = float(params.get("gamma", 0.5))
-    z = float(params.get("z", 1.0))
-    trials = int(params.get("trials", 100))
-    slope_max = float(params.get("slope_max", -0.35))
-    report = conc_lab.resolvent_error_sweep(sizes, gamma, z, trials, seed)
-    records = [
-        (f"resolvent_err_n{int(n)}", err, None, trials, seed, True)
-        for n, err in zip(report.sizes, report.errors)
-    ]
-    decreasing = bool(np.all(np.diff(report.errors) < 0))
-    records.append(
-        (
-            "resolvent_slope",
-            report.slope,
-            None,
-            trials,
-            seed,
-            report.slope <= slope_max,
-        )
-    )
-    records.append(
-        ("resolvent_monotone", float(decreasing), None, trials, seed, decreasing)
-    )
-    return records
-
-
-_CHECKS = {
-    "tail_fit": _check_tail_fit,
-    "diameter": _check_diameter,
-    "quad_form": _check_quad_form,
-    "delta_gap": _check_delta_gap,
-    "resolvent_error": _check_resolvent_error,
-}
-
-
 def cmd_conclab(
     config: ExperimentConfig,
     out_dir: str,
     seed: int | None = None,
-    threads: int = 1,
     verbose: bool = False,
 ) -> int:
     section = config.conclab
     if seed is None:
         seed = int(section.get("seed", 0))
     names = section.get("checks", "").split()
-    unknown = [n for n in names if n not in _CHECKS]
+    unknown = [n for n in names if n not in conc_lab.CHECKS]
     if unknown:
         raise ParameterError(f"unknown conclab checks: {unknown}")
     lines = []
@@ -455,7 +320,7 @@ def cmd_conclab(
     for idx, name in enumerate(names):
         params = config.checks.get(name, {})
         _log(verbose, f"conclab: running {name}")
-        records = _CHECKS[name](params, conc_lab.derive_seed(seed, idx))
+        records = conc_lab.CHECKS[name](params, conc_lab.derive_seed(seed, idx))
         for rec in records:
             lines.append(_record(*rec))
             all_ok &= rec[5]
@@ -470,7 +335,6 @@ def cmd_ingest(
     config: ExperimentConfig,
     out_dir: str,
     seed: int | None = None,
-    threads: int = 1,
     verbose: bool = False,
 ) -> int:
     entries = config.ingest.get("classes")
@@ -528,7 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--config", required=True, help="INI experiment config")
         cmd.add_argument("--seed", type=int, default=None, help="64-bit seed override")
         cmd.add_argument("--out", default=".", help="output directory")
-        cmd.add_argument("--threads", type=int, default=1, help="worker threads")
+        cmd.add_argument(
+            "--threads", type=int, default=1,
+            help="accepted for compatibility; changes neither results nor speed",
+        )
         cmd.add_argument("--verbose", action="store_true")
     return parser
 
@@ -548,7 +415,6 @@ def main(argv=None) -> int:
             config,
             args.out,
             seed=args.seed,
-            threads=args.threads,
             verbose=args.verbose,
         )
     except (ParameterError, ShapeError, DataError, ConvergenceError) as exc:

@@ -33,6 +33,7 @@ from .sampler import (
 )
 
 __all__ = [
+    "CHECKS",
     "TailProfile",
     "TailFit",
     "DiameterEstimate",
@@ -453,3 +454,125 @@ def norm_degree(space: str, p: int, n: int | None = None, r: float | None = None
             raise ParameterError(f"matrix spaces need a positive n, got {n!r}")
         return float(n + p) if space == "spectral" else float(n * p)
     raise ParameterError(f"unknown space {space!r}")
+
+
+def _check_tail_fit(params, seed):
+    p = int(params.get("p", 256))
+    samples = int(params.get("samples", 100_000))
+    q_lo = float(params.get("q_lo", 1.6))
+    q_hi = float(params.get("q_hi", 2.4))
+    spec = gaussian_class_spec(np.eye(p))
+    draws = sample_class(spec, samples, seed)
+    norms = np.linalg.norm(draws, axis=0)
+    dev = np.abs(norms - np.median(norms))
+    grid = tail_thresholds(dev)
+    profile = tail_profile(norms, grid)
+    fit = fit_exponential_tail(profile)
+    return [
+        ("tail_q", fit.exponent_q, None, samples, seed, q_lo <= fit.exponent_q <= q_hi),
+        ("tail_sigma", fit.tail_sigma, None, samples, seed, True),
+        ("tail_r2", fit.r2, None, samples, seed, True),
+    ]
+
+
+def _check_diameter(params, seed):
+    p_list = [int(v) for v in params.get("p_list", "64 256 1024").split()]
+    trials = int(params.get("trials", 2000))
+    ratio_max = float(params.get("ratio_max", 2.0))
+    values = []
+    records = []
+    for p in p_list:
+        spec = gaussian_class_spec(np.eye(p))
+        est = observable_diameter(
+            spec, ["euclidean-norm"], trials, derive_seed(seed, p)
+        )
+        values.append(est.value)
+        records.append((f"diameter_p{p}", est.value, est.stderr, trials, seed, True))
+    ratio = max(values) / min(values)
+    records.append(("diameter_ratio", ratio, None, trials, seed, ratio <= ratio_max))
+    return records
+
+
+def _check_quad_form(params, seed):
+    p = int(params.get("p", 100))
+    trials = int(params.get("trials", 10_000))
+    mean_tol = float(params.get("mean_tol", 0.5))
+    std_rtol = float(params.get("std_rtol", 0.1))
+    spec = gaussian_class_spec(np.eye(p))
+    check = quadratic_form_check(spec, np.eye(p), trials, seed)
+    std_target = np.sqrt(2.0 * p)
+    return [
+        (
+            "quadform_mean",
+            check.mean,
+            check.stderr,
+            trials,
+            seed,
+            abs(check.mean - p) <= mean_tol,
+        ),
+        (
+            "quadform_std",
+            check.std,
+            None,
+            trials,
+            seed,
+            abs(check.std - std_target) <= std_rtol * std_target,
+        ),
+    ]
+
+
+def _check_delta_gap(params, seed):
+    sizes = [int(v) for v in params.get("sizes", "100 200 400 800").split()]
+    gamma = float(params.get("gamma", 0.5))
+    z = float(params.get("z", 1.0))
+    trials = int(params.get("trials", 200))
+    slope_max = float(params.get("slope_max", -0.35))
+    report = delta_gap_sweep(sizes, gamma, z, trials, seed)
+    records = [
+        (f"delta_gap_n{int(n)}", err, None, trials, seed, True)
+        for n, err in zip(report.sizes, report.errors)
+    ]
+    records.append(
+        ("delta_gap_slope", report.slope, None, trials, seed, report.slope <= slope_max)
+    )
+    return records
+
+
+def _check_resolvent_error(params, seed):
+    sizes = [int(v) for v in params.get("sizes", "100 200 400 800").split()]
+    gamma = float(params.get("gamma", 0.5))
+    z = float(params.get("z", 1.0))
+    trials = int(params.get("trials", 100))
+    slope_max = float(params.get("slope_max", -0.35))
+    report = resolvent_error_sweep(sizes, gamma, z, trials, seed)
+    records = [
+        (f"resolvent_err_n{int(n)}", err, None, trials, seed, True)
+        for n, err in zip(report.sizes, report.errors)
+    ]
+    decreasing = bool(np.all(np.diff(report.errors) < 0))
+    records.append(
+        (
+            "resolvent_slope",
+            report.slope,
+            None,
+            trials,
+            seed,
+            report.slope <= slope_max,
+        )
+    )
+    records.append(
+        ("resolvent_monotone", float(decreasing), None, trials, seed, decreasing)
+    )
+    return records
+
+
+# Named checks of ``covspec conclab``. Each takes the overrides of its
+# [conclab.<name>] config section and a seed, and returns records
+# (name, value, stderr, n, seed, passed).
+CHECKS = {
+    "tail_fit": _check_tail_fit,
+    "diameter": _check_diameter,
+    "quad_form": _check_quad_form,
+    "delta_gap": _check_delta_gap,
+    "resolvent_error": _check_resolvent_error,
+}

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .conc_lab import CHECKS
 from .errors import DataError, ParameterError
 from .io import read_matrix
 from .model import ClassModel, Mixture, build_mixture, toeplitz_covariance
@@ -29,7 +30,6 @@ _COMPARE_KEYS = {"z_grid", "lambda_grid", "epsilon", "trials", "seed", "bins", "
 _CONCLAB_KEYS = {"checks", "seed"}
 _INGEST_KEYS = {"classes", "delimiter"}
 _INGEST_CLASS_KEYS = {"file", "n_l"}
-_CHECK_NAMES = {"tail_fit", "diameter", "quad_form", "delta_gap", "resolvent_error"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,9 +265,9 @@ def load_config(path: str) -> ExperimentConfig:
     for section in parser.sections():
         if section.startswith("conclab."):
             name = section.split(".", 1)[1]
-            if name not in _CHECK_NAMES:
+            if name not in CHECKS:
                 raise ParameterError(
-                    f"{path}: unknown check [{section}] (known: {sorted(_CHECK_NAMES)})"
+                    f"{path}: unknown check [{section}] (known: {sorted(CHECKS)})"
                 )
             checks[name] = dict(parser[section])
 

@@ -14,7 +14,6 @@ Im(m)/pi limit.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .fixed_point import (
     solve_delta_complex,
     _check_z,
     _coefficients,
+    _trace_backend,
 )
 from .model import Mixture
 
@@ -70,12 +70,7 @@ class SpectralPrediction:
 
 def sigma_delta(mixture: Mixture, delta) -> np.ndarray:
     """Weighted population moment sum_l (n_l/n) Sigma_l / (1 + delta_l)."""
-    delta = np.asarray(delta)
-    if delta.shape != (mixture.k,):
-        raise ShapeError(f"delta has shape {delta.shape}, expected ({mixture.k},)")
-    if np.any(delta == -1.0):
-        raise ParameterError("delta component equal to -1 divides by zero")
-    coeff = mixture.weights / (1.0 + delta)
+    coeff = _coefficients(mixture, delta)
     out = np.zeros((mixture.p, mixture.p), dtype=coeff.dtype)
     for c, cls in zip(coeff, mixture.classes):
         out += c * cls.sigma
@@ -96,25 +91,10 @@ def deterministic_resolvent(mixture: Mixture, delta, z: float) -> np.ndarray:
 
 
 def stieltjes_from_delta(mixture: Mixture, delta, z: float) -> float:
-    """(1/p) tr Qbar(z) at a given fixed-point vector.
-
-    The trace is computed from the factorization alone: with
-    sigma_delta + zI = L L^T, tr Qbar = ||L^-1||_F^2. No full inverse is
-    assembled. A joint-eigenbasis cache, when present, shortcuts both.
-    """
+    """(1/p) tr Qbar(z) at a given fixed-point vector."""
     z = _check_z(z)
-    cache = mixture.spectral()
     coeff = _coefficients(mixture, np.asarray(delta, dtype=float))
-    if cache is not None:
-        denom = coeff @ cache.class_eigs + z
-        return float((1.0 / denom).sum() / mixture.p)
-    core = sigma_delta(mixture, np.asarray(delta, dtype=float))
-    core[np.diag_indices_from(core)] += z
-    lower = la.cholesky(core, lower=True, check_finite=False)
-    inv_l = la.solve_triangular(
-        lower, np.eye(mixture.p), lower=True, check_finite=False
-    )
-    return float((inv_l**2).sum() / mixture.p)
+    return float(_trace_backend(mixture).mean_trace(coeff, z))
 
 
 def stieltjes_prediction(
@@ -149,37 +129,17 @@ def atom_at_zero(mixture: Mixture) -> float:
     return max(0, mixture.p - reachable) / mixture.p
 
 
-def _density_point(mixture: Mixture, lam: float, epsilon: float, tol, max_iter):
-    w = complex(lam, epsilon)
-    sol = solve_delta_complex(mixture, w, tol=tol, max_iter=max_iter)
-    cache = mixture.spectral()
-    coeff = _coefficients(mixture, sol.delta)
-    if cache is not None:
-        denom = coeff @ cache.class_eigs - w
-        m = (1.0 / denom).sum() / mixture.p
-    else:
-        core = sigma_delta(mixture, sol.delta)
-        core = core.astype(complex)
-        core[np.diag_indices_from(core)] -= w
-        lu, piv = la.lu_factor(core, check_finite=False)
-        q = la.lu_solve((lu, piv), np.eye(mixture.p, dtype=complex), check_finite=False)
-        m = np.trace(q) / mixture.p
-    return max(float(m.imag) / np.pi, 0.0), sol.converged
-
-
 def density_prediction(
     mixture: Mixture,
     lambdas,
     epsilon: float,
     tol: float = 1e-10,
     max_iter: int = 2_000,
-    workers: int = 1,
 ) -> SpectralPrediction:
     """Continuous spectral density profile on a real grid.
 
     Each grid point solves the complex system at w = lambda + i epsilon from
-    a cold start, so points are independent and may be evaluated in
-    parallel; results are assembled by index either way.
+    a cold start and reads the density off Im m(w) / pi.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1 or lambdas.size == 0:
@@ -189,18 +149,15 @@ def density_prediction(
     if np.any(np.diff(lambdas) <= 0):
         raise ParameterError("lambda grid must be strictly increasing")
     atom = atom_at_zero(mixture)
-    mixture.spectral()  # materialize the cache once, outside the worker pool
-
-    def one(lam):
-        return _density_point(mixture, lam, epsilon, tol, max_iter)
-
-    if workers > 1 and lambdas.size > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one, lambdas))
-    else:
-        results = [one(lam) for lam in lambdas]
-    density = np.array([r[0] for r in results])
-    converged = np.array([r[1] for r in results], dtype=bool)
+    backend = _trace_backend(mixture)
+    density = np.empty(lambdas.size)
+    converged = np.empty(lambdas.size, dtype=bool)
+    for j, lam in enumerate(lambdas):
+        w = complex(lam, epsilon)
+        sol = solve_delta_complex(mixture, w, tol=tol, max_iter=max_iter)
+        m = backend.mean_trace(_coefficients(mixture, sol.delta), -w)
+        density[j] = max(float(m.imag) / np.pi, 0.0)
+        converged[j] = sol.converged
     return SpectralPrediction(
         lambdas=lambdas,
         density=density,

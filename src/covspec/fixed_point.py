@@ -1,20 +1,32 @@
 """Self-consistent trace system behind the deterministic resolvent equivalent.
 
 For a k-class mixture with per-class second moments Sigma_l, weights
-w_l = n_l/n and regularization z > 0, define the interference map
+w_l = n_l/n and a shift s, define the interference map
 
-    I(x)_l = (1/n) tr( Sigma_l ( sum_h w_h Sigma_h / (1 + x_h) + z I_p )^-1 ).
+    I(x)_l = (1/n) tr( Sigma_l ( sum_h w_h Sigma_h / (1 + x_h) + s I_p )^-1 ).
 
-I is entrywise increasing in x, and the start point x0_l = tr(Sigma_l)/(n z)
-satisfies I(x0) <= x0 (the resolvent norm is at most 1/z), so Picard
-iteration from x0 decreases monotonically to the unique nonnegative fixed
-point delta'. That vector parameterizes every spectral prediction downstream.
+At a real regularization s = z > 0, I is entrywise increasing in x, and the
+start point x0_l = tr(Sigma_l)/(n z) satisfies I(x0) <= x0 (the resolvent
+norm is at most 1/z), so Picard iteration from x0 decreases monotonically to
+the unique nonnegative fixed point delta'. That vector parameterizes every
+spectral prediction downstream.
 
-The complex variant evaluates the same system at a spectral argument w with
-Im(w) > 0 (resolvent convention Sigma_delta - w I) and is used for density
-recovery near the real axis. It runs damped Picard iteration; convergence
-there is flagged, not guaranteed, and callers treat a non-converged grid
-point as a flagged data point rather than a fatal error.
+At a spectral argument w with Im(w) > 0 the shift is s = -w (resolvent
+convention Sigma_delta - w I); this variant is used for density recovery
+near the real axis. Convergence there is flagged, not guaranteed, and
+callers treat a non-converged grid point as a flagged data point rather
+than a fatal error.
+
+Both solves run one loop, x <- x + beta (I(x) - x) from x0_l =
+tr(Sigma_l)/(n |s|), halving beta whenever consecutive steps reverse
+direction. The real solve starts at beta = 1 and, its iterates falling
+monotonically, never halves it: it is plain Picard iteration.
+
+Every trace goes through one backend, selected by :func:`_trace_backend`:
+sums over the joint eigenbasis when the class matrices commute, dense
+factorizations otherwise. A backend gives the k class traces of the map and
+the normalized trace (1/p) tr(...)^-1 behind the Stieltjes transform, at a
+real or a complex shift.
 
 Tolerances are empirical: the underlying contraction estimates hold for any
 z bounded away from zero, with constants that play no computational role
@@ -48,9 +60,8 @@ _MIN_DAMPING = 1.0 / 64.0
 class FixedPointSolution:
     """Result of the nonnegative fixed-point solve at real z > 0.
 
-    ``delta`` is the fixed-point vector, ``residual`` the sup-norm of
-    I(delta) - delta at the returned iterate, and ``trace`` optionally
-    records the per-iteration sup-norm steps.
+    ``delta`` is the fixed-point vector and ``residual`` the sup-norm of
+    I(delta) - delta at the returned iterate.
     """
 
     delta: np.ndarray
@@ -58,7 +69,6 @@ class FixedPointSolution:
     iterations: int
     converged: bool
     z: float
-    trace: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -90,46 +100,109 @@ def _coefficients(mixture: Mixture, delta) -> np.ndarray:
         raise ShapeError(
             f"delta has shape {delta.shape}, expected ({mixture.k},)"
         )
+    if np.any(delta == -1.0):
+        raise ParameterError("delta component equal to -1 divides by zero")
     return mixture.weights / (1.0 + delta)
 
 
-def _dense_traces(mixture: Mixture, coeff: np.ndarray, shift) -> np.ndarray:
-    """tr(Sigma_l (sum_h coeff_h Sigma_h + shift I)^-1) for every class l.
+class _SpectralTraces:
+    """Traces in a joint eigenbasis, where Sigma_h = diag(eigs[h])."""
 
-    Real positive ``shift`` uses a Cholesky factorization; complex shifts go
-    through an LU factorization of the (complex symmetric, non-Hermitian)
-    matrix. The resolvent is assembled explicitly because k traces against
-    arbitrary class matrices are needed.
+    def __init__(self, class_eigs: np.ndarray):
+        self.eigs = class_eigs
+
+    def traces(self, coeff: np.ndarray, shift) -> np.ndarray:
+        """tr(Sigma_l (sum_h coeff_h Sigma_h + shift I)^-1) for every class l."""
+        return (self.eigs / (coeff @ self.eigs + shift)).sum(axis=1)
+
+    def mean_trace(self, coeff: np.ndarray, shift):
+        """(1/p) tr(sum_h coeff_h Sigma_h + shift I)^-1."""
+        return (1.0 / (coeff @ self.eigs + shift)).sum() / self.eigs.shape[1]
+
+
+class _DenseTraces:
+    """The same traces from a factorization of the p x p matrix.
+
+    A real positive shift uses a Cholesky factorization; a complex shift an
+    LU factorization of the (complex symmetric, non-Hermitian) matrix.
     """
-    p = mixture.p
-    core = np.zeros((p, p), dtype=np.result_type(coeff.dtype, type(shift)))
-    for c, cls in zip(coeff, mixture.classes):
-        core += c * cls.sigma
-    core[np.diag_indices_from(core)] += shift
-    if np.iscomplexobj(core):
-        lu, piv = la.lu_factor(core, check_finite=False)
-        resolvent = la.lu_solve((lu, piv), np.eye(p, dtype=complex), check_finite=False)
-    else:
+
+    def __init__(self, mixture: Mixture):
+        self.sigmas = [c.sigma for c in mixture.classes]
+
+    def _core(self, coeff: np.ndarray, shift) -> np.ndarray:
+        p = self.sigmas[0].shape[0]
+        core = np.zeros((p, p), dtype=np.result_type(coeff.dtype, type(shift)))
+        for c, sigma in zip(coeff, self.sigmas):
+            core += c * sigma
+        core[np.diag_indices_from(core)] += shift
+        return core
+
+    @staticmethod
+    def _inverse(core: np.ndarray) -> np.ndarray:
+        eye = np.eye(len(core), dtype=core.dtype)
+        if np.iscomplexobj(core):
+            lu = la.lu_factor(core, check_finite=False)
+            return la.lu_solve(lu, eye, check_finite=False)
         cf = la.cho_factor(core, lower=True, check_finite=False)
-        resolvent = la.cho_solve(cf, np.eye(p), check_finite=False)
-    out = np.empty(mixture.k, dtype=resolvent.dtype)
-    for l, cls in enumerate(mixture.classes):
-        out[l] = np.sum(cls.sigma * resolvent)
-    return out
+        return la.cho_solve(cf, eye, check_finite=False)
+
+    def traces(self, coeff: np.ndarray, shift) -> np.ndarray:
+        # The resolvent is assembled explicitly because k traces against
+        # arbitrary class matrices are needed.
+        resolvent = self._inverse(self._core(coeff, shift))
+        return np.array([np.sum(sigma * resolvent) for sigma in self.sigmas])
+
+    def mean_trace(self, coeff: np.ndarray, shift):
+        core = self._core(coeff, shift)
+        p = len(core)
+        if np.iscomplexobj(core):
+            return np.trace(self._inverse(core)) / p
+        # With core = L L^T, tr core^-1 = ||L^-1||_F^2: no full inverse.
+        lower = la.cholesky(core, lower=True, check_finite=False)
+        inv_l = la.solve_triangular(lower, np.eye(p), lower=True, check_finite=False)
+        return (inv_l**2).sum() / p
 
 
-def _spectral_traces(eigs: np.ndarray, coeff: np.ndarray, shift) -> np.ndarray:
-    """Same traces in a joint eigenbasis: sum_i s_l[i] / (sum_h c_h s_h[i] + shift)."""
-    denom = coeff @ eigs + shift
-    return (eigs / denom).sum(axis=1)
-
-
-def _map_traces(mixture: Mixture, delta, shift) -> np.ndarray:
-    coeff = _coefficients(mixture, delta)
+def _trace_backend(mixture: Mixture):
+    """Joint-eigenbasis traces when the classes commute, dense ones otherwise."""
     cache = mixture.spectral()
     if cache is not None:
-        return _spectral_traces(cache.class_eigs, coeff, shift)
-    return _dense_traces(mixture, coeff, shift)
+        return _SpectralTraces(cache.class_eigs)
+    return _DenseTraces(mixture)
+
+
+def _solve(backend, mixture: Mixture, shift, tol: float, max_iter: int, beta: float):
+    """Iterate x <- x + beta (I(x) - x) at ``shift`` from x0 = tr(Sigma_l)/(n |shift|).
+
+    beta is halved, down to a floor, whenever consecutive steps reverse
+    direction. The loop stops once the sup-norm step falls below ``tol``;
+    a converged iterate with an imaginary part below -tol is flagged as not
+    converged. Returns (delta, residual, iterations, converged, beta), the
+    residual being ||I(delta) - delta||_inf at the returned iterate.
+    """
+    n = mixture.n
+    weights = mixture.weights
+    cur = (mixture.class_traces() / (n * abs(shift))).astype(type(shift))
+    prev_step = None
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        mapped = backend.traces(weights / (1.0 + cur), shift) / n
+        step = mapped - cur
+        if float(np.abs(step).max()) <= tol:
+            cur, converged = mapped, True
+            break
+        if prev_step is not None and beta > _MIN_DAMPING:
+            if np.vdot(prev_step, step).real < 0.0:
+                beta = max(beta / 2.0, _MIN_DAMPING)
+        cur += beta * step
+        prev_step = step
+    mapped = backend.traces(weights / (1.0 + cur), shift) / n
+    residual = float(np.abs(mapped - cur).max())
+    if converged and float(np.imag(cur).min()) < -tol:
+        converged = False
+    return cur, residual, iterations, converged, beta
 
 
 def interference_map(delta, mixture: Mixture, z: float) -> np.ndarray:
@@ -142,7 +215,8 @@ def interference_map(delta, mixture: Mixture, z: float) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
     if delta.min() < 0:
         raise ParameterError("delta must be entrywise nonnegative")
-    return np.real(_map_traces(mixture, delta, z)) / mixture.n
+    coeff = _coefficients(mixture, delta)
+    return _trace_backend(mixture).traces(coeff, z) / mixture.n
 
 
 def solve_delta(
@@ -150,7 +224,6 @@ def solve_delta(
     z: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    record_trace: bool = False,
 ) -> FixedPointSolution:
     """Solve delta = I(delta) by monotone Picard iteration from above.
 
@@ -164,29 +237,10 @@ def solve_delta(
         raise ParameterError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
-    cur = mixture.class_traces() / (mixture.n * z)
-    steps = [] if record_trace else None
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        nxt = np.real(_map_traces(mixture, cur, z)) / mixture.n
-        step = float(np.abs(nxt - cur).max())
-        if steps is not None:
-            steps.append(step)
-        cur = nxt
-        if step <= tol:
-            converged = True
-            break
-    final = np.real(_map_traces(mixture, cur, z)) / mixture.n
-    residual = float(np.abs(final - cur).max())
-    return FixedPointSolution(
-        delta=cur,
-        residual=residual,
-        iterations=iterations,
-        converged=converged,
-        z=z,
-        trace=np.array(steps) if steps is not None else None,
+    delta, residual, iterations, converged, _ = _solve(
+        _trace_backend(mixture), mixture, z, tol, max_iter, 1.0
     )
+    return FixedPointSolution(delta, residual, iterations, converged, z)
 
 
 def solve_delta_complex(
@@ -211,33 +265,7 @@ def solve_delta_complex(
         raise ParameterError(f"damping must lie in (0, 1], got {damping}")
     if tol <= 0:
         raise ParameterError(f"tol must be positive, got {tol}")
-    beta = float(damping)
-    cur = (mixture.class_traces() / (mixture.n * abs(w))).astype(complex)
-    prev_step = None
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        mapped = _map_traces(mixture, cur, -w) / mixture.n
-        step = mapped - cur
-        size = float(np.abs(step).max())
-        if size <= tol:
-            cur = mapped
-            converged = True
-            break
-        if prev_step is not None and beta > _MIN_DAMPING:
-            if np.real(np.vdot(prev_step, step)) < 0.0:
-                beta = max(beta / 2.0, _MIN_DAMPING)
-        cur = cur + beta * step
-        prev_step = step
-    mapped = _map_traces(mixture, cur, -w) / mixture.n
-    residual = float(np.abs(mapped - cur).max())
-    if converged and float(np.imag(cur).min()) < -tol:
-        converged = False
-    return ComplexFixedPointSolution(
-        delta=cur,
-        residual=residual,
-        iterations=iterations,
-        converged=converged,
-        w=w,
-        damping=beta,
+    delta, residual, iterations, converged, beta = _solve(
+        _trace_backend(mixture), mixture, -w, tol, max_iter, float(damping)
     )
+    return ComplexFixedPointSolution(delta, residual, iterations, converged, w, beta)

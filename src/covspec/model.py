@@ -14,7 +14,8 @@ terms of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,6 +35,7 @@ _PSD_SLACK = 1e-10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
+    """Read-only float copy of ``a``."""
     out = np.array(a, dtype=float, copy=True)
     out.flags.writeable = False
     return out
@@ -93,9 +95,14 @@ class ClassModel:
     def trace(self) -> float:
         return float(np.trace(self.sigma))
 
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of sigma, computed once."""
+        return _freeze(np.linalg.eigvalsh(self.sigma))
+
     def rank(self, rtol: float = _PSD_SLACK) -> int:
         """Numerical rank of sigma: eigenvalues above rtol * max eigenvalue."""
-        w = np.linalg.eigvalsh(self.sigma)
+        w = self.eigenvalues
         top = w[-1] if w.size else 0.0
         if top <= 0.0:
             return 0
@@ -121,7 +128,6 @@ class Mixture:
 
     classes: tuple[ClassModel, ...]
     n: int
-    _spectral: list = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.classes:
@@ -139,7 +145,6 @@ class Mixture:
             raise ParameterError("n must be positive")
         object.__setattr__(self, "classes", tuple(self.classes))
         object.__setattr__(self, "n", int(self.n))
-        object.__setattr__(self, "_spectral", [False, None])
 
     @property
     def p(self) -> int:
@@ -185,12 +190,11 @@ class Mixture:
         failure (non-commuting classes, or a degenerate combination) simply
         disables the fast path.
         """
-        if self._spectral[0]:
-            return self._spectral[1]
-        cache = _joint_eigenbasis([c.sigma for c in self.classes])
-        self._spectral[1] = cache
-        self._spectral[0] = True
-        return cache
+        return self._spectral
+
+    @cached_property
+    def _spectral(self) -> SpectralCache | None:
+        return _joint_eigenbasis([c.sigma for c in self.classes])
 
 
 def _joint_eigenbasis(sigmas) -> SpectralCache | None:

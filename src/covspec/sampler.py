@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .model import ClassModel, Mixture, build_mixture
+from .model import ClassModel, Mixture, _freeze, build_mixture
 
 __all__ = [
     "GeneratorSpec",
@@ -104,8 +104,8 @@ class GeneratorSpec:
                 raise ParameterError(f"{self.kind} requires the standard-normal latent")
         if self.kind == "gaussian" and self.nonlinearity != "identity":
             raise ParameterError("gaussian kind takes the identity nonlinearity")
-        object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "factor", _readonly(factor))
+        object.__setattr__(self, "mean", _freeze(mean))
+        object.__setattr__(self, "factor", _freeze(factor))
         object.__setattr__(self, "latent", latent)
 
     @property
@@ -115,12 +115,6 @@ class GeneratorSpec:
     @property
     def dim_latent(self) -> int:
         return self.factor.shape[1]
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -109,7 +109,7 @@ def test_criterion_03_two_class_histogram_and_stieltjes():
     emp_mass = counts / pooled.size
 
     grid = np.geomspace(1e-8, top * 1.05, 400)
-    pred = density_prediction(mix, grid, 3e-5, tol=1e-10, max_iter=20_000, workers=4)
+    pred = density_prediction(mix, grid, 3e-5, tol=1e-10, max_iter=20_000)
     assert bool(pred.converged.all())
     pred_mass = _binned_prediction(pred, edges)
     l1 = float(np.abs(emp_mass - pred_mass).sum())

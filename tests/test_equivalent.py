@@ -6,6 +6,7 @@ import pytest
 import covspec.equivalent
 from conftest import identity_mixture, mp_density
 from covspec.equivalent import resolvent_bounds
+from covspec.fixed_point import _DenseTraces, _SpectralTraces, _solve, _trace_backend
 from covspec import (
     ClassModel,
     ConvergenceError,
@@ -47,6 +48,8 @@ def test_sigma_delta_rejects_pole():
     mix = identity_mixture(4, 4)
     with pytest.raises(ParameterError):
         sigma_delta(mix, np.array([-1.0]))
+    with pytest.raises(ParameterError):
+        stieltjes_from_delta(mix, np.array([-1.0]), 1.0)
 
 
 def test_stieltjes_matches_trace_of_equivalent():
@@ -76,6 +79,65 @@ def test_stieltjes_fast_path_matches_dense_path(monkeypatch):
     assert dense.spectral() is None
     dense_value = stieltjes_prediction(dense, 1.1)
     np.testing.assert_allclose(fast_value, dense_value, atol=1e-10)
+
+
+def _rotated_diagonal_mixture(rng, k, p=16):
+    # Diagonal classes rotated by one random orthogonal matrix commute.
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    classes = []
+    for _ in range(k):
+        s = q @ np.diag(rng.uniform(0.2, 4.0, p)) @ q.T
+        n_l = int(rng.integers(6, 20))
+        classes.append(ClassModel(sigma=(s + s.T) / 2, mean=np.zeros(p), n_l=n_l))
+    return build_mixture(classes, sum(c.n_l for c in classes))
+
+
+def _dense_density(mix, backend, lam, epsilon, tol, max_iter):
+    w = complex(lam, epsilon)
+    delta = _solve(backend, mix, -w, tol, max_iter, 1.0)[0]
+    m = backend.mean_trace(mix.weights / (1.0 + delta), -w)
+    return max(float(m.imag) / np.pi, 0.0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_spectral_and_dense_backends_agree(rng, k):
+    # The public API runs on the joint eigenbasis of a commuting mixture;
+    # the same loop on a dense backend built directly must match it.
+    mix = _rotated_diagonal_mixture(rng, k)
+    assert isinstance(_trace_backend(mix), _SpectralTraces)
+    dense = _DenseTraces(mix)
+    for z in (0.02, 0.3, 1.0, 5.0):
+        sol = solve_delta(mix, z)
+        delta, _, _, converged, _ = _solve(dense, mix, z, 1e-12, 10_000, 1.0)
+        assert sol.converged and converged
+        np.testing.assert_allclose(delta, sol.delta, rtol=1e-9, atol=0)
+        m_dense = dense.mean_trace(mix.weights / (1.0 + delta), z)
+        np.testing.assert_allclose(
+            m_dense, stieltjes_from_delta(mix, sol.delta, z), rtol=1e-9, atol=0
+        )
+    top = max(c.eigenvalues[-1] for c in mix.classes)
+    grid = np.linspace(0.02, 1.5 * top * (1 + np.sqrt(mix.gamma)) ** 2, 30)
+    pred = density_prediction(mix, grid, 1e-2, tol=1e-12, max_iter=20_000)
+    assert pred.converged.all()
+    dense_density = [_dense_density(mix, dense, lam, 1e-2, 1e-12, 20_000) for lam in grid]
+    np.testing.assert_allclose(dense_density, pred.density, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_class_permutation_permutes_delta(rng, k):
+    mix = _rotated_diagonal_mixture(rng, k)
+    perm = np.roll(np.arange(k), 1)
+    permuted = build_mixture([mix.classes[i] for i in perm], mix.n)
+    for z in (0.1, 1.0):
+        sol = solve_delta(mix, z)
+        psol = solve_delta(permuted, z)
+        np.testing.assert_allclose(psol.delta, sol.delta[perm], rtol=1e-9, atol=0)
+        np.testing.assert_allclose(
+            stieltjes_from_delta(permuted, psol.delta, z),
+            stieltjes_from_delta(mix, sol.delta, z),
+            rtol=1e-9,
+            atol=0,
+        )
 
 
 def test_stieltjes_large_z_limit():
@@ -165,16 +227,6 @@ def test_density_single_point_grid():
     pred = density_prediction(mix, np.array([1.0]), epsilon=1e-4)
     assert pred.density.shape == (1,)
     assert pred.density[0] >= 0
-
-
-def test_density_workers_do_not_change_values():
-    t = toeplitz_covariance(0.3, 30)
-    mix = build_mixture([ClassModel(sigma=t, mean=np.zeros(30), n_l=60)], 60)
-    grid = np.linspace(0.05, 1.2, 40)
-    single = density_prediction(mix, grid, epsilon=1e-3, workers=1)
-    multi = density_prediction(mix, grid, epsilon=1e-3, workers=4)
-    np.testing.assert_array_equal(single.density, multi.density)
-    np.testing.assert_array_equal(single.converged, multi.converged)
 
 
 def test_empirical_resolvent_exact_two_by_two():
