@@ -138,8 +138,11 @@ def density_prediction(
 ) -> SpectralPrediction:
     """Continuous spectral density profile on a real grid.
 
-    Each grid point solves the complex system at w = lambda + i epsilon from
-    a cold start and reads the density off Im m(w) / pi.
+    Each grid point solves the complex system at w = lambda + i epsilon and
+    reads the density off Im m(w) / pi. The grid is walked from right to
+    left, each point starting from its right neighbour's solution
+    (continuation along the grid); the rightmost point, and any point after
+    one that did not converge, starts cold.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1 or lambdas.size == 0:
@@ -152,12 +155,14 @@ def density_prediction(
     backend = _trace_backend(mixture)
     density = np.empty(lambdas.size)
     converged = np.empty(lambdas.size, dtype=bool)
-    for j, lam in enumerate(lambdas):
-        w = complex(lam, epsilon)
-        sol = solve_delta_complex(mixture, w, tol=tol, max_iter=max_iter)
+    start = None
+    for j in reversed(range(lambdas.size)):
+        w = complex(lambdas[j], epsilon)
+        sol = solve_delta_complex(mixture, w, tol=tol, max_iter=max_iter, start=start)
         m = backend.mean_trace(_coefficients(mixture, sol.delta), -w)
         density[j] = max(float(m.imag) / np.pi, 0.0)
         converged[j] = sol.converged
+        start = sol.delta if sol.converged else None
     return SpectralPrediction(
         lambdas=lambdas,
         density=density,

@@ -3,34 +3,39 @@
 For a k-class mixture with per-class second moments Sigma_l, weights
 w_l = n_l/n and a shift s, define the interference map
 
-    I(x)_l = (1/n) tr( Sigma_l ( sum_h w_h Sigma_h / (1 + x_h) + s I_p )^-1 ).
+    I(x)_l = (1/n) tr( Sigma_l Q(x) ),
+    Q(x) = ( sum_h w_h Sigma_h / (1 + x_h) + s I_p )^-1.
 
-At a real regularization s = z > 0, I is entrywise increasing in x, and the
-start point x0_l = tr(Sigma_l)/(n z) satisfies I(x0) <= x0 (the resolvent
-norm is at most 1/z), so Picard iteration from x0 decreases monotonically to
-the unique nonnegative fixed point delta'. That vector parameterizes every
-spectral prediction downstream.
+At a real regularization s = z > 0 the unique nonnegative fixed point is
+delta', which parameterizes every spectral prediction downstream. At a
+spectral argument w with Im(w) > 0 the shift is s = -w (resolvent convention
+Sigma_delta - w I) and the fixed point sought has Im(delta) >= 0; this
+variant is used for density recovery near the real axis.
 
-At a spectral argument w with Im(w) > 0 the shift is s = -w (resolvent
-convention Sigma_delta - w I); this variant is used for density recovery
-near the real axis. Convergence there is flagged, not guaranteed, and
-callers treat a non-converged grid point as a flagged data point rather
-than a fatal error.
+Both solves run one safeguarded Newton loop on F(x) = I(x) - x. Its
+Jacobian is
 
-Both solves run one loop, x <- x + beta (I(x) - x) from x0_l =
-tr(Sigma_l)/(n |s|), halving beta whenever consecutive steps reverse
-direction. The real solve starts at beta = 1 and, its iterates falling
-monotonically, never halves it: it is plain Picard iteration.
+    dI_l/dx_h = (w_h / (1 + x_h)^2) (1/n) tr( Sigma_l Q Sigma_h Q ),
+
+so each step solves the k x k system (Id - J) d = I(x) - x and moves to
+x + t d. The step fraction t starts at 1 and is halved while the trial is
+not finite, leaves the admissible set (x >= 0 at a real shift, Im x >= 0
+at a complex one) or does not lower the residual. Below a floor the Newton
+step has stalled, typically against the boundary of that set while drawn
+to a root outside it; the loop then takes damped Picard steps
+x + beta (I(x) - x), which the map keeps admissible, until the residual
+has halved, and resumes Newton steps from there. The loop stops once
+||I(x) - x||_inf <= tol * max(1, ||x||_inf), a relative test that makes
+the result independent of the covariance scale. It starts from
+x0_l = tr(Sigma_l)/(n |s|), or from a caller's warm start, such as the
+solution at a neighbouring grid point.
 
 Every trace goes through one backend, selected by :func:`_trace_backend`:
 sums over the joint eigenbasis when the class matrices commute, dense
-factorizations otherwise. A backend gives the k class traces of the map and
-the normalized trace (1/p) tr(...)^-1 behind the Stieltjes transform, at a
-real or a complex shift.
-
-Tolerances are empirical: the underlying contraction estimates hold for any
-z bounded away from zero, with constants that play no computational role
-here.
+factorizations otherwise. A backend gives the k class traces of the map,
+together with the k x k cross traces behind the Jacobian, and the
+normalized trace (1/p) tr(...)^-1 behind the Stieltjes transform, at a real
+or a complex shift.
 """
 
 from __future__ import annotations
@@ -61,7 +66,8 @@ class FixedPointSolution:
     """Result of the nonnegative fixed-point solve at real z > 0.
 
     ``delta`` is the fixed-point vector and ``residual`` the sup-norm of
-    I(delta) - delta at the returned iterate.
+    I(delta) - delta at the returned iterate; ``iterations`` counts solver
+    steps.
     """
 
     delta: np.ndarray
@@ -73,7 +79,11 @@ class FixedPointSolution:
 
 @dataclass(frozen=True)
 class ComplexFixedPointSolution:
-    """Damped Picard result at a complex spectral argument w, Im(w) > 0."""
+    """Result of the solve at a complex spectral argument w, Im(w) > 0.
+
+    ``damping`` is the smallest step fraction the loop used: 1.0 when every
+    step was a full Newton step.
+    """
 
     delta: np.ndarray
     residual: float
@@ -115,6 +125,11 @@ class _SpectralTraces:
         """tr(Sigma_l (sum_h coeff_h Sigma_h + shift I)^-1) for every class l."""
         return (self.eigs / (coeff @ self.eigs + shift)).sum(axis=1)
 
+    def traces_and_cross(self, coeff: np.ndarray, shift):
+        """Class traces tr(Sigma_l Q) and cross traces tr(Sigma_l Q Sigma_h Q)."""
+        er = self.eigs / (coeff @ self.eigs + shift)
+        return er.sum(axis=1), er @ er.T
+
     def mean_trace(self, coeff: np.ndarray, shift):
         """(1/p) tr(sum_h coeff_h Sigma_h + shift I)^-1."""
         return (1.0 / (coeff @ self.eigs + shift)).sum() / self.eigs.shape[1]
@@ -153,6 +168,14 @@ class _DenseTraces:
         resolvent = self._inverse(self._core(coeff, shift))
         return np.array([np.sum(sigma * resolvent) for sigma in self.sigmas])
 
+    def traces_and_cross(self, coeff: np.ndarray, shift):
+        # With A_h = Sigma_h Q, tr(A_l A_h) is the sum of A_l * A_h^T.
+        resolvent = self._inverse(self._core(coeff, shift))
+        products = [sigma @ resolvent for sigma in self.sigmas]
+        traces = np.array([np.trace(a) for a in products])
+        cross = np.array([[np.sum(a * b.T) for b in products] for a in products])
+        return traces, cross
+
     def mean_trace(self, coeff: np.ndarray, shift):
         core = self._core(coeff, shift)
         p = len(core)
@@ -172,37 +195,70 @@ def _trace_backend(mixture: Mixture):
     return _DenseTraces(mixture)
 
 
-def _solve(backend, mixture: Mixture, shift, tol: float, max_iter: int, beta: float):
-    """Iterate x <- x + beta (I(x) - x) at ``shift`` from x0 = tr(Sigma_l)/(n |shift|).
+def _solve(
+    backend, mixture: Mixture, shift, tol: float, max_iter: int, beta: float, start=None
+):
+    """Safeguarded Newton iteration for x = I(x) at ``shift``; see the module doc.
 
-    beta is halved, down to a floor, whenever consecutive steps reverse
-    direction. The loop stops once the sup-norm step falls below ``tol``;
-    a converged iterate with an imaginary part below -tol is flagged as not
-    converged. Returns (delta, residual, iterations, converged, beta), the
-    residual being ||I(delta) - delta||_inf at the returned iterate.
+    Starts from ``start``, or from x0 = tr(Sigma_l)/(n |shift|); ``beta`` is
+    the initial Picard fraction used after a stall. Returns (delta,
+    residual, iterations, converged, damping): the residual is
+    ||I(delta) - delta||_inf at the returned iterate and damping the
+    smallest step fraction used. A converged iterate with an imaginary part
+    below -tol is flagged as not converged.
     """
     n = mixture.n
     weights = mixture.weights
-    cur = (mixture.class_traces() / (n * abs(shift))).astype(type(shift))
+
+    def evaluate(x):
+        """I(x) - x, its sup-norm and the Jacobian of I at x."""
+        traces, cross = backend.traces_and_cross(weights / (1.0 + x), shift)
+        step = traces / n - x
+        return step, float(np.abs(step).max()), cross * (weights / (1.0 + x) ** 2) / n
+
+    if start is None:
+        cur = (mixture.class_traces() / (n * abs(shift))).astype(type(shift))
+    else:
+        cur = np.array(start, dtype=type(shift))
+    # The admissible set: x >= 0 at a real shift, Im x >= 0 at a complex one.
+    bounded = np.imag if np.iscomplexobj(cur) else np.real
+    eye = np.eye(mixture.k)
+    step, residual, jac = evaluate(cur)
+    converged = residual <= tol * max(1.0, float(np.abs(cur).max()))
+    damping = 1.0
+    stall = np.inf
     prev_step = None
-    converged = False
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        mapped = backend.traces(weights / (1.0 + cur), shift) / n
-        step = mapped - cur
-        if float(np.abs(step).max()) <= tol:
-            cur, converged = mapped, True
-            break
-        if prev_step is not None and beta > _MIN_DAMPING:
-            if np.vdot(prev_step, step).real < 0.0:
+    while not converged and iterations < max_iter:
+        iterations += 1
+        frac = 1.0
+        if residual < stall:
+            try:
+                newton = np.linalg.solve(eye - jac, step)
+            except np.linalg.LinAlgError:
+                newton = np.full_like(step, np.nan)
+            while frac >= _MIN_DAMPING:
+                trial = cur + frac * newton
+                if np.isfinite(trial).all() and bounded(trial).min() >= 0.0:
+                    evaluated = evaluate(trial)
+                    if evaluated[1] < residual:
+                        break
+                frac /= 2.0
+            else:
+                # Newton stalled: damped Picard steps until the residual halves.
+                stall = residual / 2.0
+        if residual >= stall:
+            if prev_step is not None and np.vdot(prev_step, step).real < 0.0:
                 beta = max(beta / 2.0, _MIN_DAMPING)
-        cur += beta * step
-        prev_step = step
-    mapped = backend.traces(weights / (1.0 + cur), shift) / n
-    residual = float(np.abs(mapped - cur).max())
+            frac, trial, prev_step = beta, cur + beta * step, step
+            evaluated = evaluate(trial)
+        damping = min(damping, frac)
+        cur = trial
+        step, residual, jac = evaluated
+        converged = residual <= tol * max(1.0, float(np.abs(cur).max()))
     if converged and float(np.imag(cur).min()) < -tol:
         converged = False
-    return cur, residual, iterations, converged, beta
+    return cur, residual, iterations, converged, damping
 
 
 def interference_map(delta, mixture: Mixture, z: float) -> np.ndarray:
@@ -225,12 +281,14 @@ def solve_delta(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> FixedPointSolution:
-    """Solve delta = I(delta) by monotone Picard iteration from above.
+    """Solve delta = I(delta) at real z > 0 by safeguarded Newton steps.
 
-    Starting from x0_l = tr(Sigma_l)/(n z) the iterates decrease
-    componentwise toward the unique nonnegative fixed point; the loop stops
-    once the sup-norm step falls below ``tol``. The reported residual is
-    ||I(delta) - delta||_inf evaluated at the returned iterate.
+    Starts from x0_l = tr(Sigma_l)/(n z) and keeps every iterate
+    nonnegative. The loop stops once ||I(delta) - delta||_inf is at most
+    ``tol * max(1, ||delta||_inf)``, so ``tol`` is relative to the size of
+    delta and a rescaling of every Sigma_l and z leaves the result unchanged.
+    The reported residual is ||I(delta) - delta||_inf at the returned
+    iterate; ``iterations`` counts Newton (or fallback Picard) steps.
     """
     z = _check_z(z)
     if tol <= 0:
@@ -249,14 +307,20 @@ def solve_delta_complex(
     tol: float = 1e-10,
     max_iter: int = 2_000,
     damping: float = 1.0,
+    start=None,
 ) -> ComplexFixedPointSolution:
-    """Damped Picard iteration for the system at spectral argument w.
+    """Solve the system at spectral argument w by safeguarded Newton steps.
 
     The map is I(x)_l = (1/n) tr(Sigma_l (sum_h w_h Sigma_h/(1+x_h) - w I)^-1)
-    with Im(w) > 0. The update is x <- (1-beta) x + beta I(x); beta starts at
-    ``damping`` and is halved whenever consecutive steps reverse direction
-    (oscillation), down to a floor. Non-convergence within ``max_iter`` is
-    reported through the ``converged`` flag.
+    with Im(w) > 0, and every iterate keeps Im(x) >= 0. A Newton step is
+    halved while it leaves that set or does not lower the residual; once it
+    stalls the loop takes Picard steps x <- (1-beta) x + beta I(x), beta
+    starting at ``damping`` and halved whenever consecutive steps reverse
+    direction, until the residual has halved. ``start`` is
+    the initial iterate, for instance the solution at a nearby w; by default
+    x0_l = tr(Sigma_l)/(n |w|). ``tol`` is relative, as in
+    :func:`solve_delta`. Non-convergence within ``max_iter`` is reported
+    through the ``converged`` flag.
     """
     w = complex(w)
     if not w.imag > 0:
@@ -265,7 +329,11 @@ def solve_delta_complex(
         raise ParameterError(f"damping must lie in (0, 1], got {damping}")
     if tol <= 0:
         raise ParameterError(f"tol must be positive, got {tol}")
-    delta, residual, iterations, converged, beta = _solve(
-        _trace_backend(mixture), mixture, -w, tol, max_iter, float(damping)
+    if start is not None:
+        start = np.asarray(start, dtype=complex)
+        if start.shape != (mixture.k,):
+            raise ShapeError(f"start has shape {start.shape}, expected ({mixture.k},)")
+    delta, residual, iterations, converged, frac = _solve(
+        _trace_backend(mixture), mixture, -w, tol, max_iter, float(damping), start
     )
-    return ComplexFixedPointSolution(delta, residual, iterations, converged, w, beta)
+    return ComplexFixedPointSolution(delta, residual, iterations, converged, w, frac)
