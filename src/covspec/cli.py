@@ -56,6 +56,15 @@ def _fixed_point_params(section) -> tuple[float, int]:
     return tol, max_iter
 
 
+def _density_params(section) -> dict:
+    """The section's own ``tol`` and ``max_iter`` for the density solve.
+
+    A key the section leaves out keeps the density defaults.
+    """
+    tol, max_iter = _fixed_point_params(section)
+    return {k: v for k, v in (("tol", tol), ("max_iter", max_iter)) if k in section}
+
+
 def _auto_lambda_grid(mixture, count: int) -> np.ndarray:
     """Locate the support by a coarse scan, then lay a linear grid over it."""
     top = max(float(c.eigenvalues.max(initial=0.0)) for c in mixture.classes)
@@ -109,7 +118,7 @@ def cmd_predict(
     span = float(lambdas[-1] - lambdas[0]) or float(lambdas[-1]) or 1.0
     eps_text = section.get("epsilon", "auto")
     epsilon = 1e-3 * span if eps_text.strip() == "auto" else float(eps_text)
-    pred = density_prediction(mixture, lambdas, epsilon)
+    pred = density_prediction(mixture, lambdas, epsilon, **_density_params(section))
     all_converged &= bool(pred.converged.all())
     _log(verbose, f"predict: density on {lambdas.size} points, epsilon={epsilon:g}")
 
@@ -267,7 +276,7 @@ def cmd_compare(
     span = float(lambdas[-1] - lambdas[0]) or 1.0
     eps_text = section.get("epsilon", "auto")
     epsilon = 1e-3 * span if eps_text.strip() == "auto" else float(eps_text)
-    pred = density_prediction(mixture, lambdas, epsilon)
+    pred = density_prediction(mixture, lambdas, epsilon, **_density_params(section))
     all_converged &= bool(pred.converged.all())
     pred_mass = _binned_prediction(pred, edges)
     hist_l1 = float(np.abs(emp_mass - pred_mass).sum())

@@ -329,6 +329,8 @@ def solve_delta_complex(
         raise ParameterError(f"damping must lie in (0, 1], got {damping}")
     if tol <= 0:
         raise ParameterError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     if start is not None:
         start = np.asarray(start, dtype=complex)
         if start.shape != (mixture.k,):

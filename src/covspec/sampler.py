@@ -1,10 +1,15 @@
 """Column samplers for mixture data matrices.
 
-Columns are generated one stream per column from a counter-based generator
-(Philox, 64-bit keys): column j of a run seeded with s draws its latent
-vector from the stream keyed (s, j). Generation order therefore never
-affects the output, parallel or not, and a (seed, spec) pair pins the data
-matrix byte for byte.
+Columns are generated from counter-based generators (Philox, 64-bit keys),
+one stream per chunk of 64 consecutive global columns: chunk c of a run
+seeded with s is drawn from the stream keyed (s, c) as one 64-row block, and
+row r of it is the latent vector of global column 64 c + r. A column's
+content therefore depends only on the seed, its global index, the latent
+dimension and the latent law; how the columns are split across calls or
+interleaved between classes never affects the output, and a (seed, spec)
+pair pins the data matrix byte for byte. This is the second stream version:
+the first keyed one stream per column by (s, j), so data sampled before the
+change differs from data sampled after it.
 
 Three generator kinds are supported:
 
@@ -20,6 +25,7 @@ Three generator kinds are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +55,7 @@ NONLINEARITIES = ("identity", "tanh", "relu", "abs")
 LATENTS = ("standard-normal", "rademacher", "uniform")
 
 _EIG_FLOOR = 1e-10
+_CHUNK = 64
 
 _U64 = np.uint64
 
@@ -57,11 +64,6 @@ def derive_seed(seed: int, *path: int) -> int:
     """Stable 64-bit subseed for a (seed, index...) path."""
     ss = np.random.SeedSequence((int(seed),) + tuple(int(x) for x in path))
     return int(ss.generate_state(1, _U64)[0])
-
-
-def _column_stream(seed: int, column: int) -> np.random.Generator:
-    key = np.array([seed, column], dtype=_U64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,6 +117,14 @@ class GeneratorSpec:
     @property
     def dim_latent(self) -> int:
         return self.factor.shape[1]
+
+    @cached_property
+    def diagonal(self) -> np.ndarray | None:
+        """The factor's diagonal when it is square and zero elsewhere, else None."""
+        f = self.factor
+        if f.shape[0] != f.shape[1] or np.count_nonzero(f) != np.count_nonzero(f.diagonal()):
+            return None
+        return f.diagonal()
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,17 +229,20 @@ def mixture_of(pairs) -> Mixture:
 
 
 def _latent_block(spec: GeneratorSpec, count: int, seed: int, offset: int) -> np.ndarray:
-    d = spec.dim_latent
-    out = np.empty((d, count))
-    for j in range(count):
-        rng = _column_stream(seed, offset + j)
+    first = offset // _CHUNK
+    chunks = (offset + count - 1) // _CHUNK - first + 1
+    block = np.empty((chunks * _CHUNK, spec.dim_latent))
+    for i in range(chunks):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, first + i], dtype=_U64)))
+        rows = block[i * _CHUNK : (i + 1) * _CHUNK]
         if spec.latent == "standard-normal":
-            out[:, j] = rng.standard_normal(d)
+            rng.standard_normal(out=rows)
         elif spec.latent == "rademacher":
-            out[:, j] = 2.0 * rng.integers(0, 2, size=d) - 1.0
+            rows[...] = 2.0 * rng.integers(0, 2, size=rows.shape) - 1.0
         else:  # uniform on [-1, 1]
-            out[:, j] = rng.uniform(-1.0, 1.0, size=d)
-    return out
+            rows[...] = rng.uniform(-1.0, 1.0, size=rows.shape)
+    start = offset - first * _CHUNK
+    return block[start : start + count].T
 
 
 _SQRT3 = np.sqrt(3.0)
@@ -240,9 +253,11 @@ def sample_class(
 ) -> np.ndarray:
     """Draw ``count`` columns of one class as a (p, count) matrix.
 
-    ``column_offset`` shifts the per-column stream indices; a mixture run
-    passes each class its global column positions so the full matrix is
-    reproducible independent of class interleaving.
+    ``column_offset`` is the global index of the first column; a mixture
+    run passes each class its global column positions so the full matrix is
+    reproducible independent of class interleaving. A diagonal factor
+    scales the latent rows instead of multiplying a dense matrix; each entry
+    has one nonzero term, so the result is the same to the bit.
     """
     if count < 1:
         raise ParameterError(f"count must be at least 1, got {count}")
@@ -250,8 +265,11 @@ def sample_class(
         raise ParameterError("seed must fit in 64 bits")
     latent = _latent_block(spec, count, int(seed), int(column_offset))
     if spec.latent == "uniform":
-        latent = latent * _SQRT3
-    core = spec.factor @ latent
+        latent *= _SQRT3
+    if spec.diagonal is None:
+        core = spec.factor @ latent
+    else:
+        core = spec.diagonal[:, None] * latent
     if spec.nonlinearity == "tanh":
         core = np.tanh(core)
     elif spec.nonlinearity == "relu":

@@ -151,6 +151,18 @@ def test_predict_nonconvergence_exit_code(tmp_path):
     assert main(["predict", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_predict_passes_max_iter_to_density_solve(tmp_path):
+    cfg_path = write_config(
+        tmp_path,
+        BASE.replace("epsilon = 0.01\n", "epsilon = 0.01\n    max_iter = 1\n", 1),
+    )
+    out = tmp_path / "out"
+    assert main(["predict", "--config", cfg_path, "--out", str(out)]) == 1
+    _, header, dens = read_csv_file(out / "density.csv")
+    assert header == ["lambda", "density", "converged"]
+    assert np.any(dens[:, 2] == 0)
+
+
 def test_simulate_outputs_and_seed_override(tmp_path):
     cfg_path = write_config(tmp_path, BASE)
     out = tmp_path / "out"

@@ -24,6 +24,7 @@ from covspec import (
     tail_profile,
     tail_thresholds,
 )
+from covspec.conc_lab import LIPSCHITZ_FUNCTIONALS
 from covspec.sampler import mixture_of, sample_class
 
 
@@ -152,6 +153,39 @@ def test_observable_diameter_dimension_free_norm():
         values.append(est.value)
     ratio = values[1] / values[0]
     assert 0.5 <= ratio <= 2.0
+
+
+PER_COLUMN = {
+    "euclidean-norm": lambda x: float(np.sqrt(sum(v * v for v in x))),
+    "first-coordinate": lambda x: float(x[0]),
+    "coordinate-mean": lambda x: float(sum(x) / x.size),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIPSCHITZ_FUNCTIONALS))
+def test_lipschitz_functionals_act_column_wise(name, rng):
+    block = rng.standard_normal((37, 50)) + 0.5
+    want = np.array([PER_COLUMN[name](block[:, i]) for i in range(50)])
+    got = LIPSCHITZ_FUNCTIONALS[name](block)
+    assert got.shape == (50,)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+    # A single column still maps to one value.
+    assert LIPSCHITZ_FUNCTIONALS[name](block[:, 3]) == pytest.approx(want[3], rel=1e-12)
+
+
+def test_observable_diameter_matches_per_column_loop():
+    spec = gaussian_class_spec(np.eye(12) + 0.2)
+    trials, seed = 300, 5
+    first = sample_class(spec, trials, seed, column_offset=0)
+    second = sample_class(spec, trials, seed, column_offset=trials)
+    names = sorted(LIPSCHITZ_FUNCTIONALS)
+    est = observable_diameter(spec, names, trials=trials, seed=seed)
+    for name in names:
+        f = PER_COLUMN[name]
+        gaps = np.array([abs(f(first[:, i]) - f(second[:, i])) for i in range(trials)])
+        mean, se = est.per_functional[name]
+        assert mean == pytest.approx(gaps.mean(), rel=1e-12)
+        assert se == pytest.approx(gaps.std(ddof=1) / np.sqrt(trials), rel=1e-10)
 
 
 def test_observable_diameter_validation():

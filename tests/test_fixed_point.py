@@ -147,6 +147,15 @@ def test_real_solver_rejects_bad_z(z):
         solve_delta(mix, z)
 
 
+@pytest.mark.parametrize("max_iter", [0, -5])
+def test_both_solvers_reject_nonpositive_max_iter(max_iter):
+    mix = identity_mixture(4, 4)
+    with pytest.raises(ParameterError, match="max_iter must be at least 1"):
+        solve_delta(mix, 1.0, max_iter=max_iter)
+    with pytest.raises(ParameterError, match="max_iter must be at least 1"):
+        solve_delta_complex(mix, 1.0 + 0.1j, max_iter=max_iter)
+
+
 def test_interference_map_rejects_negative_delta():
     mix = identity_mixture(4, 4)
     with pytest.raises(ParameterError):

@@ -19,7 +19,7 @@ from covspec import (
     spectral_ks_distance,
     toeplitz_covariance,
 )
-from covspec.sampler import derive_seed, principal_sqrt
+from covspec.sampler import _latent_block, derive_seed, principal_sqrt
 
 
 def test_derive_seed_is_stable_and_distinct():
@@ -156,6 +156,104 @@ def test_sample_mixture_layout_and_labels():
     np.testing.assert_array_equal(
         sample.matrix[:, 3:], sample_class(s2, 5, seed=11, column_offset=3)
     )
+
+
+LAWS = [
+    ("gaussian", "standard-normal"),
+    ("bounded-affine", "rademacher"),
+    ("bounded-affine", "uniform"),
+]
+
+
+def diagonal_spec(kind, latent, p=5):
+    return GeneratorSpec(
+        kind=kind,
+        mean=np.linspace(-1.0, 1.0, p),
+        factor=np.diag(np.arange(1.0, p + 1)),
+        latent=latent,
+    )
+
+
+def split_draw(spec, seed, offset, counts):
+    parts = []
+    for count in counts:
+        parts.append(sample_class(spec, count, seed, column_offset=offset))
+        offset += count
+    return np.ascontiguousarray(np.hstack(parts))
+
+
+@pytest.mark.parametrize("kind,latent", LAWS)
+def test_latent_rows_follow_the_chunk_stream_format(kind, latent):
+    # Global column j is row j % 64 of the 64-row block drawn from the
+    # Philox stream keyed (seed, j // 64).
+    spec = GeneratorSpec(kind=kind, mean=np.zeros(3), factor=np.eye(3), latent=latent)
+    seed = 77
+    for chunk in (0, 1, 2**33 + 5):
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
+        if latent == "standard-normal":
+            want = rng.standard_normal((64, 3))
+        elif latent == "rademacher":
+            want = 2.0 * rng.integers(0, 2, size=(64, 3)) - 1.0
+        else:
+            want = np.sqrt(3.0) * rng.uniform(-1.0, 1.0, size=(64, 3))
+        got = sample_class(spec, 64, seed, column_offset=64 * chunk)
+        np.testing.assert_array_equal(got, want.T)
+
+
+@pytest.mark.parametrize("kind,latent", LAWS)
+def test_sample_class_is_independent_of_splitting(kind, latent):
+    spec = diagonal_spec(kind, latent)
+    seed, n = 31, 400
+    whole = sample_class(spec, n, seed).tobytes()
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        cuts = np.sort(rng.choice(np.arange(1, n), size=rng.integers(1, 9), replace=False))
+        counts = np.diff(np.concatenate([[0], cuts, [n]]))
+        assert split_draw(spec, seed, 0, counts).tobytes() == whole
+    # Splits across chunk boundaries: 63 | 2 crosses the first, 1-column
+    # calls land on either side of it, and 129 columns span three chunks.
+    assert split_draw(spec, seed, 0, [63, 2, 1, 129, 205]).tobytes() == whole
+    assert split_draw(spec, seed, 0, [63, 1, 1, 64, 64, 207]).tobytes() == whole
+    far = 2**32 + 61
+    whole = sample_class(spec, 200, seed, column_offset=far).tobytes()
+    assert split_draw(spec, seed, far, [2, 1, 129, 68]).tobytes() == whole
+    assert split_draw(spec, seed, far, [1] * 5 + [195]).tobytes() == whole
+
+
+def test_sample_mixture_classes_straddling_chunks_match_standalone_draws():
+    specs = [diagonal_spec(*law, p=4) for law in LAWS]
+    specs.append(gaussian_class_spec(toeplitz_covariance(0.4, 4)))
+    counts = [63, 2, 129, 70]
+    sample = sample_mixture(list(zip(specs, counts)), seed=13)
+    offset = 0
+    for spec, count in zip(specs, counts):
+        block = sample.matrix[:, offset : offset + count]
+        np.testing.assert_array_equal(
+            block, sample_class(spec, count, seed=13, column_offset=offset)
+        )
+        offset += count
+
+
+@pytest.mark.parametrize("kind,latent", LAWS)
+def test_diagonal_factor_equals_dense_product_exactly(kind, latent):
+    spec = diagonal_spec(kind, latent, p=7)
+    assert spec.diagonal is not None
+    latent_block = _latent_block(spec, 150, 3, 40)
+    scale = np.sqrt(3.0) if latent == "uniform" else 1.0
+    dense = spec.mean[:, None] + spec.factor @ (scale * latent_block)
+    np.testing.assert_array_equal(sample_class(spec, 150, 3, column_offset=40), dense)
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [np.eye(4) + np.eye(4, k=1) * 1e-3, np.ones((4, 2)), np.eye(4)[:, ::-1]],
+    ids=["off-diagonal entry", "non-square", "permutation"],
+)
+def test_non_diagonal_factor_takes_the_dense_product(factor):
+    spec = GeneratorSpec(kind="gaussian", mean=np.zeros(4), factor=factor)
+    assert spec.diagonal is None
+    got = sample_class(spec, 70, 8, column_offset=60)
+    np.testing.assert_array_equal(got, factor @ _latent_block(spec, 70, 8, 60))
 
 
 def test_sample_mixture_rejects_dimension_mismatch():
