@@ -1,15 +1,14 @@
 """Column samplers for mixture data matrices.
 
-Columns are generated from counter-based generators (Philox, 64-bit keys),
-one stream per chunk of 64 consecutive global columns: chunk c of a run
-seeded with s is drawn from the stream keyed (s, c) as one 64-row block, and
-row r of it is the latent vector of global column 64 c + r. A column's
-content therefore depends only on the seed, its global index, the latent
-dimension and the latent law; how the columns are split across calls or
-interleaved between classes never affects the output, and a (seed, spec)
-pair pins the data matrix byte for byte. This is the second stream version:
-the first keyed one stream per column by (s, j), so data sampled before the
-change differs from data sampled after it.
+Columns are drawn from counter-based Philox streams in chunks of 64
+consecutive global columns: chunk c of a run seeded with s is one 64-row
+block from the stream keyed (s, c) with counter (0, 0, d, law), d the
+latent dimension and law the index in ``LATENTS``, and its row r is the
+latent vector of global column 64 c + r. Classes sharing a chunk but not
+(d, law) read disjoint streams. A column depends only on the seed, its
+global index, d and law, never on how calls split or interleave the
+columns, so a (seed, spec) pair pins the data matrix byte for byte. This is
+the second stream version; the first keyed one stream per column by (s, j).
 
 Three generator kinds are supported:
 
@@ -232,8 +231,10 @@ def _latent_block(spec: GeneratorSpec, count: int, seed: int, offset: int) -> np
     first = offset // _CHUNK
     chunks = (offset + count - 1) // _CHUNK - first + 1
     block = np.empty((chunks * _CHUNK, spec.dim_latent))
+    counter = np.array([0, 0, spec.dim_latent, LATENTS.index(spec.latent)], dtype=_U64)
     for i in range(chunks):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, first + i], dtype=_U64)))
+        key = np.array([seed, first + i], dtype=_U64)
+        rng = np.random.Generator(np.random.Philox(counter=counter, key=key))
         rows = block[i * _CHUNK : (i + 1) * _CHUNK]
         if spec.latent == "standard-normal":
             rng.standard_normal(out=rows)

@@ -19,7 +19,7 @@ from covspec import (
     spectral_ks_distance,
     toeplitz_covariance,
 )
-from covspec.sampler import _latent_block, derive_seed, principal_sqrt
+from covspec.sampler import LATENTS, _latent_block, derive_seed, principal_sqrt
 
 
 def test_derive_seed_is_stable_and_distinct():
@@ -185,11 +185,13 @@ def split_draw(spec, seed, offset, counts):
 @pytest.mark.parametrize("kind,latent", LAWS)
 def test_latent_rows_follow_the_chunk_stream_format(kind, latent):
     # Global column j is row j % 64 of the 64-row block drawn from the
-    # Philox stream keyed (seed, j // 64).
+    # Philox stream keyed (seed, j // 64) with counter (0, 0, d, law).
     spec = GeneratorSpec(kind=kind, mean=np.zeros(3), factor=np.eye(3), latent=latent)
     seed = 77
+    counter = np.array([0, 0, 3, LATENTS.index(latent)], dtype=np.uint64)
     for chunk in (0, 1, 2**33 + 5):
-        rng = np.random.Generator(np.random.Philox(key=np.array([seed, chunk], dtype=np.uint64)))
+        key = np.array([seed, chunk], dtype=np.uint64)
+        rng = np.random.Generator(np.random.Philox(counter=counter, key=key))
         if latent == "standard-normal":
             want = rng.standard_normal((64, 3))
         elif latent == "rademacher":
@@ -232,6 +234,57 @@ def test_sample_mixture_classes_straddling_chunks_match_standalone_draws():
             block, sample_class(spec, count, seed=13, column_offset=offset)
         )
         offset += count
+
+
+def raw_words_read(monkeypatch, spec, count, seed, offset):
+    """Every 64-bit Philox word generated while drawing these latent columns."""
+    real = np.random.Philox
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append((args, kwargs, real(*args, **kwargs)))
+        return made[-1][2]
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "Philox", recording)
+        _latent_block(spec, count, seed, offset)
+    words = set()
+    for args, kwargs, used in made:
+        replay = real(*args, **kwargs)
+        blocks = int(used.state["state"]["counter"][0] - replay.state["state"]["counter"][0])
+        words.update(replay.random_raw(4 * blocks).tolist())
+    return words
+
+
+def latent_spec(latent, d, p=5):
+    kind = "gaussian" if latent == "standard-normal" else "bounded-affine"
+    return GeneratorSpec(kind=kind, mean=np.zeros(p), factor=np.eye(p)[:, :d], latent=latent)
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [
+        (("standard-normal", 5), ("standard-normal", 3)),
+        (("standard-normal", 3), ("uniform", 3)),
+        (("rademacher", 5), ("uniform", 5)),
+    ],
+    ids=["same law, other d", "gaussian vs uniform", "rademacher vs uniform"],
+)
+def test_classes_sharing_a_chunk_read_disjoint_streams(monkeypatch, first, second):
+    # Columns 0-62 belong to the first class, 63-127 to the second, so both
+    # draw chunk 0. A stream keyed by (seed, chunk) alone would hand the
+    # second class raw words the first class already turned into latents.
+    a, b = latent_spec(*first), latent_spec(*second)
+    seed = 17
+    words_a = raw_words_read(monkeypatch, a, 63, seed, 0)
+    words_b = raw_words_read(monkeypatch, b, 65, seed, 63)
+    assert words_a and words_b
+    assert not words_a & words_b
+    if first[0] == second[0]:
+        sample = sample_mixture([(a, 63), (b, 65)], seed)
+        latent_a = sample.matrix[: first[1], :63]
+        latent_b = sample.matrix[: second[1], 63:]
+        assert np.intersect1d(latent_a, latent_b).size == 0
 
 
 @pytest.mark.parametrize("kind,latent", LAWS)
