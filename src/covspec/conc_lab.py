@@ -16,12 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .equivalent import deterministic_resolvent
 from .errors import DataError, ParameterError, ShapeError
-from .fixed_point import solve_delta
-from .model import Mixture
+from .fixed_point import _check_z, _spd_inverse, _whiten, solve_delta
+from .model import Mixture, _gram
 from .sampler import (
     GeneratorSpec,
     class_model_of,
@@ -304,14 +303,16 @@ def delta_empirical(pairs, z: float, trials: int, seed: int) -> DeltaEstimate:
 
     Per trial and class, one held-out column y of that class is tested
     against the resolvent of the remaining columns (the divisor stays n):
-    the statistic y^T (S_minus + z I)^-1 y / n concentrates around the
-    class's fixed-point coordinate.
+    the statistic y^T (S - y y^T/n + z I)^-1 y / n concentrates around the
+    class's fixed-point coordinate. It is read off the full resolvent
+    Q = (S + z I)^-1 by the rank-one (Sherman-Morrison) identity: with
+    q = y^T Q y / n the statistic equals q / (1 - q). Each trial factors
+    S + z I = L L^T once and takes q = ||L^-1 y||^2 / n for every class.
     """
     pairs = [(spec, int(count)) for spec, count in pairs]
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
-    if z <= 0:
-        raise ParameterError(f"z must be positive, got {z}")
+    z = _check_z(z)
     for _, count in pairs:
         if count < 2:
             raise ParameterError("every class needs at least 2 columns")
@@ -320,16 +321,9 @@ def delta_empirical(pairs, z: float, trials: int, seed: int) -> DeltaEstimate:
     starts = np.concatenate([[0], np.cumsum([c for _, c in pairs])[:-1]]).astype(int)
     draws = np.empty((trials, k))
     for t in range(trials):
-        sample = sample_mixture(pairs, derive_seed(seed, t))
-        X = sample.matrix
-        S = X @ X.T / n
-        S = (S + S.T) / 2.0
-        for l in range(k):
-            y = X[:, starts[l]]
-            minus = S - np.outer(y, y) / n
-            minus[np.diag_indices_from(minus)] += z
-            cf = la.cho_factor(minus, lower=True, check_finite=False)
-            draws[t, l] = y @ la.cho_solve(cf, y, check_finite=False) / n
+        X = sample_mixture(pairs, derive_seed(seed, t)).matrix
+        q = (_whiten(_gram(X, n, z), X[:, starts]) ** 2).sum(axis=0) / n
+        draws[t] = q / (1.0 - q)
     delta_hat = draws.mean(axis=0)
     if trials > 1:
         stderr = draws.std(axis=0, ddof=1) / np.sqrt(trials)
@@ -340,7 +334,7 @@ def delta_empirical(pairs, z: float, trials: int, seed: int) -> DeltaEstimate:
         stderr=stderr,
         draws=draws,
         trials=trials,
-        z=float(z),
+        z=z,
         seed=seed,
     )
 
@@ -360,19 +354,19 @@ def resolvent_mean_error(
     pairs = [(spec, int(count)) for spec, count in pairs]
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
+    z = _check_z(z)
+    n = sum(count for _, count in pairs)
     if mixture is None:
         mixture = mixture_of(pairs)
-    n = mixture.n
-    p = mixture.p
-    eye = np.eye(p)
-    acc = np.zeros((p, p))
+    elif not pairs or (mixture.p, mixture.n) != (pairs[0][0].p, n):
+        raise ShapeError(
+            f"mixture has (p, n) = ({mixture.p}, {mixture.n}), "
+            "which the (spec, count) pairs do not match"
+        )
+    acc = np.zeros((mixture.p, mixture.p))
     for t in range(trials):
         X = sample_mixture(pairs, derive_seed(seed, t)).matrix
-        S = X @ X.T / n
-        S = (S + S.T) / 2.0
-        S[np.diag_indices_from(S)] += z
-        cf = la.cho_factor(S, lower=True, check_finite=False)
-        acc += la.cho_solve(cf, eye, check_finite=False)
+        acc += _spd_inverse(_gram(X, n, z))
     mean_q = acc / trials
     mean_q = (mean_q + mean_q.T) / 2.0
     sol = solve_delta(mixture, z)

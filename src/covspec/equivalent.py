@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import ConvergenceError, ParameterError, ShapeError
 from .fixed_point import (
@@ -27,9 +26,11 @@ from .fixed_point import (
     solve_delta_complex,
     _check_z,
     _coefficients,
+    _spd_inverse,
     _trace_backend,
+    _whiten,
 )
-from .model import Mixture
+from .model import Mixture, _gram
 
 __all__ = [
     "SpectralPrediction",
@@ -43,11 +44,6 @@ __all__ = [
     "empirical_stieltjes",
     "resolvent_bounds",
 ]
-
-# When True, empirical_resolvent certifies the three operator-norm bounds
-# ||Q|| <= 1/z, ||Q S|| <= 1, ||Q X/sqrt(n)|| <= 1/sqrt(z) on every call.
-# Costs an extra eigendecomposition per call, so it is reserved for tests.
-DEBUG_CHECKS = False
 
 
 @dataclass(frozen=True)
@@ -85,8 +81,7 @@ def deterministic_resolvent(mixture: Mixture, delta, z: float) -> np.ndarray:
         raise ParameterError("delta must be entrywise nonnegative")
     core = sigma_delta(mixture, delta)
     core[np.diag_indices_from(core)] += z
-    cf = la.cho_factor(core, lower=True, check_finite=False)
-    out = la.cho_solve(cf, np.eye(mixture.p), check_finite=False)
+    out = _spd_inverse(core)
     return (out + out.T) / 2.0
 
 
@@ -178,22 +173,11 @@ def empirical_resolvent(X: np.ndarray, z: float) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ShapeError(f"X must be 2-d, got shape {X.shape}")
-    p, n = X.shape
+    n = X.shape[1]
     if n == 0:
         raise ShapeError("X must have at least one column")
-    S = X @ X.T / n
-    S = (S + S.T) / 2.0
-    S[np.diag_indices_from(S)] += z
-    cf = la.cho_factor(S, lower=True, check_finite=False)
-    Q = la.cho_solve(cf, np.eye(p), check_finite=False)
-    Q = (Q + Q.T) / 2.0
-    if DEBUG_CHECKS:
-        norms = resolvent_bounds(X, z, Q)
-        slack = 1.0 + 1e-8
-        assert norms["resolvent"] <= slack / z, norms
-        assert norms["resolvent_covariance"] <= slack, norms
-        assert norms["resolvent_data"] <= slack / np.sqrt(z), norms
-    return Q
+    Q = _spd_inverse(_gram(X, n, z))
+    return (Q + Q.T) / 2.0
 
 
 def resolvent_bounds(X: np.ndarray, z: float, Q: np.ndarray | None = None) -> dict:
@@ -203,10 +187,10 @@ def resolvent_bounds(X: np.ndarray, z: float, Q: np.ndarray | None = None) -> di
     are bounded by 1/z, 1 and 1/sqrt(z) respectively.
     """
     X = np.asarray(X, dtype=float)
-    p, n = X.shape
+    n = X.shape[1]
     if Q is None:
         Q = empirical_resolvent(X, z)
-    S = X @ X.T / n
+    S = _gram(X, n)
     return {
         "resolvent": float(np.linalg.norm(Q, 2)),
         "resolvent_covariance": float(np.linalg.norm(Q @ S, 2)),
@@ -221,9 +205,5 @@ def empirical_stieltjes(X: np.ndarray, z: float) -> float:
     if X.ndim != 2 or X.shape[1] == 0:
         raise ShapeError(f"X must be 2-d with at least one column, got {X.shape}")
     p, n = X.shape
-    S = X @ X.T / n
-    S = (S + S.T) / 2.0
-    S[np.diag_indices_from(S)] += z
-    lower = la.cholesky(S, lower=True, check_finite=False)
-    inv_l = la.solve_triangular(lower, np.eye(p), lower=True, check_finite=False)
+    inv_l = _whiten(_gram(X, n, z), np.eye(p))
     return float((inv_l**2).sum() / p)

@@ -115,6 +115,18 @@ def _coefficients(mixture: Mixture, delta) -> np.ndarray:
     return mixture.weights / (1.0 + delta)
 
 
+def _spd_inverse(core: np.ndarray) -> np.ndarray:
+    """core^-1 of a symmetric positive definite matrix, via its Cholesky factor."""
+    cf = la.cho_factor(core, lower=True, check_finite=False)
+    return la.cho_solve(cf, np.eye(len(core)), check_finite=False)
+
+
+def _whiten(core: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^-1 B for the Cholesky factor core = L L^T of an SPD matrix."""
+    lower = la.cholesky(core, lower=True, check_finite=False)
+    return la.solve_triangular(lower, B, lower=True, check_finite=False)
+
+
 class _SpectralTraces:
     """Traces in a joint eigenbasis, where Sigma_h = diag(eigs[h])."""
 
@@ -155,12 +167,11 @@ class _DenseTraces:
 
     @staticmethod
     def _inverse(core: np.ndarray) -> np.ndarray:
-        eye = np.eye(len(core), dtype=core.dtype)
         if np.iscomplexobj(core):
             lu = la.lu_factor(core, check_finite=False)
+            eye = np.eye(len(core), dtype=core.dtype)
             return la.lu_solve(lu, eye, check_finite=False)
-        cf = la.cho_factor(core, lower=True, check_finite=False)
-        return la.cho_solve(cf, eye, check_finite=False)
+        return _spd_inverse(core)
 
     def traces(self, coeff: np.ndarray, shift) -> np.ndarray:
         # The resolvent is assembled explicitly because k traces against
@@ -182,9 +193,7 @@ class _DenseTraces:
         if np.iscomplexobj(core):
             return np.trace(self._inverse(core)) / p
         # With core = L L^T, tr core^-1 = ||L^-1||_F^2: no full inverse.
-        lower = la.cholesky(core, lower=True, check_finite=False)
-        inv_l = la.solve_triangular(lower, np.eye(p), lower=True, check_finite=False)
-        return (inv_l**2).sum() / p
+        return (_whiten(core, np.eye(p)) ** 2).sum() / p
 
 
 def _trace_backend(mixture: Mixture):
@@ -195,14 +204,11 @@ def _trace_backend(mixture: Mixture):
     return _DenseTraces(mixture)
 
 
-def _solve(
-    backend, mixture: Mixture, shift, tol: float, max_iter: int, beta: float, start=None
-):
+def _solve(backend, mixture: Mixture, shift, tol: float, max_iter: int, start=None):
     """Safeguarded Newton iteration for x = I(x) at ``shift``; see the module doc.
 
-    Starts from ``start``, or from x0 = tr(Sigma_l)/(n |shift|); ``beta`` is
-    the initial Picard fraction used after a stall. Returns (delta,
-    residual, iterations, converged, damping): the residual is
+    Starts from ``start``, or from x0 = tr(Sigma_l)/(n |shift|). Returns
+    (delta, residual, iterations, converged, damping): the residual is
     ||I(delta) - delta||_inf at the returned iterate and damping the
     smallest step fraction used. A converged iterate with an imaginary part
     below -tol is flagged as not converged.
@@ -225,7 +231,7 @@ def _solve(
     eye = np.eye(mixture.k)
     step, residual, jac = evaluate(cur)
     converged = residual <= tol * max(1.0, float(np.abs(cur).max()))
-    damping = 1.0
+    damping = beta = 1.0
     stall = np.inf
     prev_step = None
     iterations = 0
@@ -296,7 +302,7 @@ def solve_delta(
     if max_iter < 1:
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
     delta, residual, iterations, converged, _ = _solve(
-        _trace_backend(mixture), mixture, z, tol, max_iter, 1.0
+        _trace_backend(mixture), mixture, z, tol, max_iter
     )
     return FixedPointSolution(delta, residual, iterations, converged, z)
 
@@ -306,7 +312,6 @@ def solve_delta_complex(
     w: complex,
     tol: float = 1e-10,
     max_iter: int = 2_000,
-    damping: float = 1.0,
     start=None,
 ) -> ComplexFixedPointSolution:
     """Solve the system at spectral argument w by safeguarded Newton steps.
@@ -315,8 +320,8 @@ def solve_delta_complex(
     with Im(w) > 0, and every iterate keeps Im(x) >= 0. A Newton step is
     halved while it leaves that set or does not lower the residual; once it
     stalls the loop takes Picard steps x <- (1-beta) x + beta I(x), beta
-    starting at ``damping`` and halved whenever consecutive steps reverse
-    direction, until the residual has halved. ``start`` is
+    starting at 1 and halved whenever consecutive steps reverse direction,
+    until the residual has halved. ``start`` is
     the initial iterate, for instance the solution at a nearby w; by default
     x0_l = tr(Sigma_l)/(n |w|). ``tol`` is relative, as in
     :func:`solve_delta`. Non-convergence within ``max_iter`` is reported
@@ -325,8 +330,6 @@ def solve_delta_complex(
     w = complex(w)
     if not w.imag > 0:
         raise ParameterError(f"w must have positive imaginary part, got {w!r}")
-    if not 0 < damping <= 1:
-        raise ParameterError(f"damping must lie in (0, 1], got {damping}")
     if tol <= 0:
         raise ParameterError(f"tol must be positive, got {tol}")
     if max_iter < 1:
@@ -336,6 +339,6 @@ def solve_delta_complex(
         if start.shape != (mixture.k,):
             raise ShapeError(f"start has shape {start.shape}, expected ({mixture.k},)")
     delta, residual, iterations, converged, frac = _solve(
-        _trace_backend(mixture), mixture, -w, tol, max_iter, float(damping), start
+        _trace_backend(mixture), mixture, -w, tol, max_iter, start
     )
     return ComplexFixedPointSolution(delta, residual, iterations, converged, w, frac)

@@ -41,6 +41,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gram(X: np.ndarray, n: int, shift: float = 0.0) -> np.ndarray:
+    """Exactly symmetric X X^T / n + shift I."""
+    gram = X @ X.T / n
+    gram = (gram + gram.T) / 2.0
+    gram[np.diag_indices_from(gram)] += shift
+    return gram
+
+
 @dataclass(frozen=True, eq=False)
 class ClassModel:
     """Second-moment description of one mixture class.
@@ -261,6 +269,4 @@ def estimate_class_model(samples: np.ndarray, n_l: int) -> ClassModel:
     if not np.isfinite(samples).all():
         raise DataError("samples contain non-finite entries")
     mean = samples.mean(axis=1)
-    second = samples @ samples.T / m
-    second = (second + second.T) / 2.0
-    return ClassModel(sigma=second, mean=mean, n_l=n_l)
+    return ClassModel(sigma=_gram(samples, m), mean=mean, n_l=n_l)

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .model import ClassModel, Mixture, _freeze, build_mixture
+from .model import ClassModel, Mixture, _freeze, _gram, build_mixture
 
 __all__ = [
     "GeneratorSpec",
@@ -264,7 +264,13 @@ def sample_class(
         raise ParameterError(f"count must be at least 1, got {count}")
     if not 0 <= int(seed) < 2**64:
         raise ParameterError("seed must fit in 64 bits")
-    latent = _latent_block(spec, count, int(seed), int(column_offset))
+    offset = int(column_offset)
+    if offset < 0 or (offset + count - 1) // _CHUNK >= 2**64:
+        raise ParameterError(
+            "column_offset must be nonnegative with its last chunk below 2**64, "
+            f"got {column_offset}"
+        )
+    latent = _latent_block(spec, count, int(seed), offset)
     if spec.latent == "uniform":
         latent *= _SQRT3
     if spec.diagonal is None:
@@ -324,9 +330,7 @@ def empirical_spectrum(X, seed: int | None = None) -> EmpiricalSpectrum:
     if not np.isfinite(X).all():
         raise DataError("data matrix contains non-finite entries")
     p, n = X.shape
-    S = X @ X.T / n
-    S = (S + S.T) / 2.0
-    vals = np.linalg.eigvalsh(S)
+    vals = np.linalg.eigvalsh(_gram(X, n))
     top = max(vals[-1], 0.0)
     if vals[0] < -_EIG_FLOOR * max(top, 1e-300):
         raise DataError(

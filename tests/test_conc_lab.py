@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as la
 
+import covspec.conc_lab
 from covspec import (
     ClassModel,
     DataError,
@@ -23,9 +25,10 @@ from covspec import (
     solve_delta,
     tail_profile,
     tail_thresholds,
+    toeplitz_covariance,
 )
 from covspec.conc_lab import LIPSCHITZ_FUNCTIONALS
-from covspec.sampler import mixture_of, sample_class
+from covspec.sampler import derive_seed, mixture_of, sample_class, sample_mixture
 
 
 def test_tail_profile_constant_samples():
@@ -283,6 +286,65 @@ def test_delta_empirical_validation():
         delta_empirical(pairs, z=0.0, trials=5, seed=0)
     with pytest.raises(ParameterError):
         delta_empirical([(gaussian_class_spec(np.eye(2)), 1)], z=1.0, trials=5, seed=0)
+
+
+def _leave_one_out_draws(pairs, z, trials, seed):
+    """Per class, y^T (S - y y^T/n + z I)^-1 y / n with y the class's first column."""
+    n = sum(count for _, count in pairs)
+    starts = np.cumsum([0] + [count for _, count in pairs[:-1]])
+    draws = np.empty((trials, len(pairs)))
+    for t in range(trials):
+        X = sample_mixture(pairs, derive_seed(seed, t)).matrix
+        S = X @ X.T / n
+        S = (S + S.T) / 2.0
+        for l, j in enumerate(starts):
+            y = X[:, j]
+            minus = S - np.outer(y, y) / n
+            minus[np.diag_indices_from(minus)] += z
+            cf = la.cho_factor(minus, lower=True)
+            draws[t, l] = y @ la.cho_solve(cf, y) / n
+    return draws
+
+
+@pytest.mark.parametrize("z", [1.0, 1e-2])
+@pytest.mark.parametrize("p", [12, 60], ids=["p<n", "p>n"])
+def test_delta_empirical_matches_the_leave_one_out_resolvent(p, z):
+    # The rank-one identity q/(1 - q), q = y^T Q y / n, against the
+    # resolvent with the held-out column removed, on a k = 3 mixture.
+    t = toeplitz_covariance(0.4, p)
+    pairs = [
+        (gaussian_class_spec(t), 13),
+        (bounded_class_spec(2.0 * np.eye(p)), 9),
+        (bounded_class_spec(t @ t, latent="uniform"), 18),
+    ]
+    est = delta_empirical(pairs, z=z, trials=4, seed=21)
+    want = _leave_one_out_draws(pairs, z, 4, 21)
+    np.testing.assert_allclose(est.draws, want, rtol=1e-10, atol=0)
+
+
+def _no_sampling(*args):
+    raise AssertionError("sampled before the arguments were checked")
+
+
+@pytest.mark.parametrize("z", [-1.0, 0.0, np.nan, np.inf])
+def test_conc_lab_checks_z_before_sampling(monkeypatch, z):
+    monkeypatch.setattr(covspec.conc_lab, "sample_mixture", _no_sampling)
+    pairs = [(gaussian_class_spec(np.eye(3)), 6)]
+    with pytest.raises(ParameterError):
+        delta_empirical(pairs, z=z, trials=2, seed=0)
+    with pytest.raises(ParameterError):
+        resolvent_mean_error(pairs, z=z, trials=2, seed=0)
+
+
+@pytest.mark.parametrize(
+    "p, n", [(4, 20), (3, 40)], ids=["p differs", "n differs"]
+)
+def test_resolvent_mean_error_rejects_a_mismatched_mixture(monkeypatch, p, n):
+    monkeypatch.setattr(covspec.conc_lab, "sample_mixture", _no_sampling)
+    pairs = [(gaussian_class_spec(np.eye(3)), 20)]
+    mix = build_mixture([ClassModel(sigma=np.eye(p), mean=np.zeros(p), n_l=n)], n)
+    with pytest.raises(ShapeError):
+        resolvent_mean_error(pairs, z=1.0, trials=2, seed=0, mixture=mix)
 
 
 def test_resolvent_mean_error_small_case():

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import covspec.equivalent
 from conftest import identity_mixture, mp_density
 from covspec.equivalent import resolvent_bounds
 from covspec.fixed_point import _DenseTraces, _SpectralTraces, _solve, _trace_backend
@@ -94,7 +93,7 @@ def _rotated_diagonal_mixture(rng, k, p=16):
 
 def _dense_density(mix, backend, lam, epsilon, tol, max_iter):
     w = complex(lam, epsilon)
-    delta = _solve(backend, mix, -w, tol, max_iter, 1.0)[0]
+    delta = _solve(backend, mix, -w, tol, max_iter)[0]
     m = backend.mean_trace(mix.weights / (1.0 + delta), -w)
     return max(float(m.imag) / np.pi, 0.0)
 
@@ -108,7 +107,7 @@ def test_spectral_and_dense_backends_agree(rng, k):
     dense = _DenseTraces(mix)
     for z in (0.02, 0.3, 1.0, 5.0):
         sol = solve_delta(mix, z)
-        delta, _, _, converged, _ = _solve(dense, mix, z, 1e-12, 10_000, 1.0)
+        delta, _, _, converged, _ = _solve(dense, mix, z, 1e-12, 10_000)
         assert sol.converged and converged
         np.testing.assert_allclose(delta, sol.delta, rtol=1e-9, atol=0)
         m_dense = dense.mean_trace(mix.weights / (1.0 + delta), z)
@@ -237,14 +236,13 @@ def test_empirical_resolvent_exact_two_by_two():
     np.testing.assert_allclose(empirical_stieltjes(x, 3.0), 0.25, atol=1e-14)
 
 
-def test_resolvent_bounds_hold_on_random_inputs(rng, monkeypatch):
-    monkeypatch.setattr(covspec.equivalent, "DEBUG_CHECKS", True)
+def test_resolvent_bounds_hold_on_random_inputs(rng):
     for _ in range(100):
         p = int(rng.integers(1, 12))
         n = int(rng.integers(1, 12))
         z = float(rng.uniform(0.05, 10.0))
         x = rng.standard_normal((p, n)) * rng.uniform(0.1, 3.0)
-        q = empirical_resolvent(x, z)  # internal checks armed
+        q = empirical_resolvent(x, z)
         bounds = resolvent_bounds(x, z, q)
         assert bounds["resolvent"] <= 1.0 / z + 1e-10
         assert bounds["resolvent_covariance"] <= 1.0 + 1e-10

@@ -309,6 +309,18 @@ def test_non_diagonal_factor_takes_the_dense_product(factor):
     np.testing.assert_array_equal(got, factor @ _latent_block(spec, 70, 8, 60))
 
 
+def test_sample_class_checks_column_offset():
+    # The last column's chunk index (offset + count - 1) // 64 must fit in
+    # 64 bits: with count 3 the largest valid offset is 2**70 - 3.
+    spec = gaussian_class_spec(np.eye(2))
+    with pytest.raises(ParameterError):
+        sample_class(spec, 3, 1, column_offset=-1)
+    last = sample_class(spec, 3, 1, column_offset=2**70 - 3)
+    np.testing.assert_array_equal(last, _latent_block(spec, 3, 1, 2**70 - 3))
+    with pytest.raises(ParameterError):
+        sample_class(spec, 3, 1, column_offset=2**70 - 2)
+
+
 def test_sample_mixture_rejects_dimension_mismatch():
     with pytest.raises(ShapeError):
         sample_mixture(
