@@ -19,7 +19,7 @@ import numpy as np
 
 from .equivalent import deterministic_resolvent
 from .errors import DataError, ParameterError, ShapeError
-from .fixed_point import _check_z, _spd_inverse, _whiten, solve_delta
+from .fixed_point import _check_z, solve_delta
 from .model import Mixture, _gram
 from .sampler import (
     GeneratorSpec,
@@ -306,8 +306,9 @@ def delta_empirical(pairs, z: float, trials: int, seed: int) -> DeltaEstimate:
     the statistic y^T (S - y y^T/n + z I)^-1 y / n concentrates around the
     class's fixed-point coordinate. It is read off the full resolvent
     Q = (S + z I)^-1 by the rank-one (Sherman-Morrison) identity: with
-    q = y^T Q y / n the statistic equals q / (1 - q). Each trial factors
-    S + z I = L L^T once and takes q = ||L^-1 y||^2 / n for every class.
+    q = y^T Q y / n the statistic equals q / (1 - q). Each trial solves
+    (S + z I) V = Y once for the held-out columns Y of all classes and
+    takes q = y^T v / n column by column.
     """
     pairs = [(spec, int(count)) for spec, count in pairs]
     if trials < 1:
@@ -322,7 +323,8 @@ def delta_empirical(pairs, z: float, trials: int, seed: int) -> DeltaEstimate:
     draws = np.empty((trials, k))
     for t in range(trials):
         X = sample_mixture(pairs, derive_seed(seed, t)).matrix
-        q = (_whiten(_gram(X, n, z), X[:, starts]) ** 2).sum(axis=0) / n
+        Y = X[:, starts]
+        q = (Y * np.linalg.solve(_gram(X, n, z), Y)).sum(axis=0) / n
         draws[t] = q / (1.0 - q)
     delta_hat = draws.mean(axis=0)
     if trials > 1:
@@ -366,7 +368,7 @@ def resolvent_mean_error(
     acc = np.zeros((mixture.p, mixture.p))
     for t in range(trials):
         X = sample_mixture(pairs, derive_seed(seed, t)).matrix
-        acc += _spd_inverse(_gram(X, n, z))
+        acc += np.linalg.inv(_gram(X, n, z))
     mean_q = acc / trials
     mean_q = (mean_q + mean_q.T) / 2.0
     sol = solve_delta(mixture, z)

@@ -26,9 +26,7 @@ from .fixed_point import (
     solve_delta_complex,
     _check_z,
     _coefficients,
-    _spd_inverse,
     _trace_backend,
-    _whiten,
 )
 from .model import Mixture, _gram
 
@@ -74,14 +72,14 @@ def sigma_delta(mixture: Mixture, delta) -> np.ndarray:
 
 
 def deterministic_resolvent(mixture: Mixture, delta, z: float) -> np.ndarray:
-    """Full matrix (sigma_delta + z I)^-1 via an SPD factorization."""
+    """Full matrix (sigma_delta + z I)^-1, symmetrized."""
     z = _check_z(z)
     delta = np.asarray(delta, dtype=float)
     if delta.min() < 0:
         raise ParameterError("delta must be entrywise nonnegative")
     core = sigma_delta(mixture, delta)
     core[np.diag_indices_from(core)] += z
-    out = _spd_inverse(core)
+    out = np.linalg.inv(core)
     return (out + out.T) / 2.0
 
 
@@ -176,7 +174,7 @@ def empirical_resolvent(X: np.ndarray, z: float) -> np.ndarray:
     n = X.shape[1]
     if n == 0:
         raise ShapeError("X must have at least one column")
-    Q = _spd_inverse(_gram(X, n, z))
+    Q = np.linalg.inv(_gram(X, n, z))
     return (Q + Q.T) / 2.0
 
 
@@ -186,10 +184,15 @@ def resolvent_bounds(X: np.ndarray, z: float, Q: np.ndarray | None = None) -> di
     Returns ||Q||, ||Q S|| and ||Q X/sqrt(n)|| for S = X X^T/n; the three
     are bounded by 1/z, 1 and 1/sqrt(z) respectively.
     """
+    z = _check_z(z)
     X = np.asarray(X, dtype=float)
-    n = X.shape[1]
+    if X.ndim != 2 or X.shape[1] == 0:
+        raise ShapeError(f"X must be 2-d with at least one column, got {X.shape}")
+    p, n = X.shape
     if Q is None:
         Q = empirical_resolvent(X, z)
+    elif np.shape(Q) != (p, p):
+        raise ShapeError(f"Q has shape {np.shape(Q)}, expected ({p}, {p})")
     S = _gram(X, n)
     return {
         "resolvent": float(np.linalg.norm(Q, 2)),
@@ -205,5 +208,4 @@ def empirical_stieltjes(X: np.ndarray, z: float) -> float:
     if X.ndim != 2 or X.shape[1] == 0:
         raise ShapeError(f"X must be 2-d with at least one column, got {X.shape}")
     p, n = X.shape
-    inv_l = _whiten(_gram(X, n, z), np.eye(p))
-    return float((inv_l**2).sum() / p)
+    return float(np.trace(np.linalg.inv(_gram(X, n, z))) / p)

@@ -31,11 +31,11 @@ x0_l = tr(Sigma_l)/(n |s|), or from a caller's warm start, such as the
 solution at a neighbouring grid point.
 
 Every trace goes through one backend, selected by :func:`_trace_backend`:
-sums over the joint eigenbasis when the class matrices commute, dense
-factorizations otherwise. A backend gives the k class traces of the map,
-together with the k x k cross traces behind the Jacobian, and the
-normalized trace (1/p) tr(...)^-1 behind the Stieltjes transform, at a real
-or a complex shift.
+sums over the joint eigenbasis when the class matrices commute, the explicit
+inverse of the dense p x p matrix otherwise. A backend gives the k class
+traces of the map, together with the k x k cross traces behind the
+Jacobian, and the normalized trace (1/p) tr(...)^-1 behind the Stieltjes
+transform, at a real or a complex shift.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .errors import ParameterError, ShapeError
 from .model import Mixture
@@ -115,18 +114,6 @@ def _coefficients(mixture: Mixture, delta) -> np.ndarray:
     return mixture.weights / (1.0 + delta)
 
 
-def _spd_inverse(core: np.ndarray) -> np.ndarray:
-    """core^-1 of a symmetric positive definite matrix, via its Cholesky factor."""
-    cf = la.cho_factor(core, lower=True, check_finite=False)
-    return la.cho_solve(cf, np.eye(len(core)), check_finite=False)
-
-
-def _whiten(core: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """L^-1 B for the Cholesky factor core = L L^T of an SPD matrix."""
-    lower = la.cholesky(core, lower=True, check_finite=False)
-    return la.solve_triangular(lower, B, lower=True, check_finite=False)
-
-
 class _SpectralTraces:
     """Traces in a joint eigenbasis, where Sigma_h = diag(eigs[h])."""
 
@@ -148,10 +135,11 @@ class _SpectralTraces:
 
 
 class _DenseTraces:
-    """The same traces from a factorization of the p x p matrix.
+    """The same traces from the explicit inverse of the p x p matrix.
 
-    A real positive shift uses a Cholesky factorization; a complex shift an
-    LU factorization of the (complex symmetric, non-Hermitian) matrix.
+    Real and complex shifts alike go through ``np.linalg.inv`` (an LU
+    factorization): the matrix is SPD at a real positive shift and complex
+    symmetric, non-Hermitian, at a complex one.
     """
 
     def __init__(self, mixture: Mixture):
@@ -165,23 +153,15 @@ class _DenseTraces:
         core[np.diag_indices_from(core)] += shift
         return core
 
-    @staticmethod
-    def _inverse(core: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(core):
-            lu = la.lu_factor(core, check_finite=False)
-            eye = np.eye(len(core), dtype=core.dtype)
-            return la.lu_solve(lu, eye, check_finite=False)
-        return _spd_inverse(core)
-
     def traces(self, coeff: np.ndarray, shift) -> np.ndarray:
         # The resolvent is assembled explicitly because k traces against
         # arbitrary class matrices are needed.
-        resolvent = self._inverse(self._core(coeff, shift))
+        resolvent = np.linalg.inv(self._core(coeff, shift))
         return np.array([np.sum(sigma * resolvent) for sigma in self.sigmas])
 
     def traces_and_cross(self, coeff: np.ndarray, shift):
         # With A_h = Sigma_h Q, tr(A_l A_h) is the sum of A_l * A_h^T.
-        resolvent = self._inverse(self._core(coeff, shift))
+        resolvent = np.linalg.inv(self._core(coeff, shift))
         products = [sigma @ resolvent for sigma in self.sigmas]
         traces = np.array([np.trace(a) for a in products])
         cross = np.array([[np.sum(a * b.T) for b in products] for a in products])
@@ -189,11 +169,7 @@ class _DenseTraces:
 
     def mean_trace(self, coeff: np.ndarray, shift):
         core = self._core(coeff, shift)
-        p = len(core)
-        if np.iscomplexobj(core):
-            return np.trace(self._inverse(core)) / p
-        # With core = L L^T, tr core^-1 = ||L^-1||_F^2: no full inverse.
-        return (_whiten(core, np.eye(p)) ** 2).sum() / p
+        return np.trace(np.linalg.inv(core)) / len(core)
 
 
 def _trace_backend(mixture: Mixture):

@@ -10,6 +10,7 @@ from covspec import (
     ClassModel,
     ConvergenceError,
     ParameterError,
+    ShapeError,
     atom_at_zero,
     build_mixture,
     density_prediction,
@@ -62,7 +63,7 @@ def test_stieltjes_matches_trace_of_equivalent():
 
 
 def test_stieltjes_fast_path_matches_dense_path(monkeypatch):
-    # The joint-eigenbasis shortcut and the dense Cholesky path must agree
+    # The joint-eigenbasis shortcut and the dense inverse path must agree
     # on the same mixture; disabling the cache forces the dense branch.
     t = toeplitz_covariance(0.4, 8)
     pair = [t, t @ t]
@@ -247,6 +248,20 @@ def test_resolvent_bounds_hold_on_random_inputs(rng):
         assert bounds["resolvent"] <= 1.0 / z + 1e-10
         assert bounds["resolvent_covariance"] <= 1.0 + 1e-10
         assert bounds["resolvent_data"] <= 1.0 / np.sqrt(z) + 1e-10
+
+
+@pytest.mark.parametrize(
+    "x, z, q, error",
+    [
+        (np.ones((3, 4)), -1.0, np.eye(3), ParameterError),
+        (np.ones(3), 1.0, np.eye(3), ShapeError),
+        (np.ones((3, 4)), 1.0, np.eye(2), ShapeError),
+    ],
+    ids=["negative z", "1-d X", "Q of the wrong size"],
+)
+def test_resolvent_bounds_checks_inputs_when_q_is_passed(x, z, q, error):
+    with pytest.raises(error):
+        resolvent_bounds(x, z, q)
 
 
 def test_empirical_stieltjes_matches_eigenvalues(rng):

@@ -1,5 +1,10 @@
 """Fixed-point solver against the closed-form single-class oracle."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -130,6 +135,39 @@ def test_fast_path_matches_dense_path(rng):
     d1 = solve_delta(commuting, 1.2).delta
     d2 = solve_delta(mixed, 1.2).delta
     np.testing.assert_allclose(d1, d2, atol=1e-9)
+
+
+_DENSE_RUN = """
+import sys
+import numpy as np
+from covspec import (ClassModel, build_mixture, delta_empirical, density_prediction,
+    empirical_stieltjes, gaussian_class_spec, solve_delta, toeplitz_covariance)
+t = toeplitz_covariance(0.4, 6)
+d = np.diag(np.arange(1.0, 7.0))
+mix = build_mixture([ClassModel(sigma=s, mean=np.zeros(6), n_l=4) for s in (t, d)], 8)
+assert mix.spectral() is None
+assert solve_delta(mix, 1.0).converged
+density_prediction(mix, [1.0], epsilon=0.1)
+empirical_stieltjes(np.random.default_rng(0).standard_normal((6, 8)), 1.0)
+delta_empirical([(gaussian_class_spec(s), 4) for s in (t, d)], z=1.0, trials=2, seed=0)
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_dense_linear_algebra_never_imports_scipy():
+    # numpy and scipy each bundle an OpenBLAS with its own thread pool; a run
+    # that loaded both would pay scipy's import and pools that contend.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", _DENSE_RUN],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_solver_reports_nonconvergence_without_raising():
