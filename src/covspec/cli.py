@@ -23,17 +23,13 @@ import sys
 import numpy as np
 
 from . import conc_lab
-from .config import ExperimentConfig, load_config, parse_grid
-from .equivalent import (
-    atom_at_zero,
-    density_prediction,
-    stieltjes_from_delta,
-)
+from .config import ExperimentConfig, _typed, load_config, parse_grid
+from .equivalent import density_prediction
 from .errors import ConvergenceError, DataError, ParameterError, ShapeError
 from .fixed_point import solve_delta
 from .io import atomic_write_text, fmt_float, write_csv, write_matrix, read_matrix
 from .model import estimate_class_model
-from .sampler import empirical_spectrum, histogram, sample_mixture
+from .sampler import derive_seed, empirical_spectrum, histogram, sample_mixture
 
 __all__ = [
     "main",
@@ -50,19 +46,32 @@ def _log(verbose: bool, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _fixed_point_params(section) -> tuple[float, int]:
-    tol = float(section.get("tol", 1e-12))
-    max_iter = int(section.get("max_iter", 10_000))
-    return tol, max_iter
+def _value(config: ExperimentConfig, name: str, key: str, cast, default=None):
+    """Value of ``key`` in section [name], cast; a bad one names file and section."""
+    return _typed(getattr(config, name), key, cast, default, f"{config.path} [{name}]")
 
 
-def _density_params(section) -> dict:
-    """The section's own ``tol`` and ``max_iter`` for the density solve.
+def _z_sweep(config: ExperimentConfig, name: str, mixture):
+    """Fixed points over the z grid of section [name].
 
-    A key the section leaves out keeps the density defaults.
+    Returns the grid, one solution per z and the section's ``tol`` and
+    ``max_iter``, which the caller passes on to the density solve as well;
+    a key the section leaves out keeps each solve's own default.
     """
-    tol, max_iter = _fixed_point_params(section)
-    return {k: v for k, v in (("tol", tol), ("max_iter", max_iter)) if k in section}
+    section = getattr(config, name)
+    casts = {"tol": float, "max_iter": int}
+    params = {key: _value(config, name, key, casts[key]) for key in casts if key in section}
+    z_grid = parse_grid(section.get("z_grid", "0.5:5:10"), "z_grid")
+    if np.any(z_grid <= 0):
+        raise ParameterError("z_grid must be strictly positive")
+    return z_grid, [solve_delta(mixture, float(z), **params) for z in z_grid], params
+
+
+def _epsilon(config: ExperimentConfig, name: str, span: float) -> float:
+    """The section's density epsilon; ``auto`` (the default) is 1e-3 * span."""
+    if getattr(config, name).get("epsilon", "auto").strip() == "auto":
+        return 1e-3 * span
+    return _value(config, name, "epsilon", float)
 
 
 def _auto_lambda_grid(mixture, count: int) -> np.ndarray:
@@ -92,34 +101,23 @@ def cmd_predict(
 ) -> int:
     mixture = config.mixture()
     section = config.predict
-    tol, max_iter = _fixed_point_params(section)
-    z_grid = parse_grid(section.get("z_grid", "0.5:5:10"), "z_grid")
-    if np.any(z_grid <= 0):
-        raise ParameterError("z_grid must be strictly positive")
-
-    delta_rows = []
-    stieltjes_rows = []
-    all_converged = True
-    for z in z_grid:
-        sol = solve_delta(mixture, float(z), tol=tol, max_iter=max_iter)
-        all_converged &= sol.converged
-        for l, d in enumerate(sol.delta):
-            delta_rows.append((z, l, d, sol.residual, sol.iterations))
-        m = stieltjes_from_delta(mixture, sol.delta, float(z))
-        stieltjes_rows.append((z, m))
+    z_grid, sols, params = _z_sweep(config, "predict", mixture)
+    delta_rows = [
+        (z, l, d, sol.residual, sol.iterations)
+        for z, sol in zip(z_grid, sols)
+        for l, d in enumerate(sol.delta)
+    ]
+    stieltjes_rows = [(z, sol.stieltjes) for z, sol in zip(z_grid, sols)]
     _log(verbose, f"predict: solved {z_grid.size} z points")
 
     if "lambda_grid" in section:
         lambdas = parse_grid(section["lambda_grid"], "lambda_grid")
-        if np.any(np.diff(lambdas) <= 0):
-            raise ParameterError("lambda_grid must be strictly increasing")
     else:
         lambdas = _auto_lambda_grid(mixture, 200)
     span = float(lambdas[-1] - lambdas[0]) or float(lambdas[-1]) or 1.0
-    eps_text = section.get("epsilon", "auto")
-    epsilon = 1e-3 * span if eps_text.strip() == "auto" else float(eps_text)
-    pred = density_prediction(mixture, lambdas, epsilon, **_density_params(section))
-    all_converged &= bool(pred.converged.all())
+    epsilon = _epsilon(config, "predict", span)
+    pred = density_prediction(mixture, lambdas, epsilon, **params)
+    all_converged = all(sol.converged for sol in sols) and pred.converged.all()
     _log(verbose, f"predict: density on {lambdas.size} points, epsilon={epsilon:g}")
 
     write_csv(
@@ -148,12 +146,14 @@ def cmd_predict(
     return 0
 
 
-def _parse_bins(section):
-    raw = section.get("bins", "20").strip()
-    parts = raw.split()
-    if len(parts) == 1:
-        return int(parts[0])
-    return np.array([float(v) for v in parts])
+def _bins(text: str):
+    """A positive bin count, or explicit bin edges."""
+    parts = text.split()
+    if len(parts) != 1:
+        return np.array([float(v) for v in parts])
+    if int(parts[0]) < 1:
+        raise ValueError("bin count must be positive")
+    return int(parts[0])
 
 
 def cmd_simulate(
@@ -162,15 +162,13 @@ def cmd_simulate(
     seed: int | None = None,
     verbose: bool = False,
 ) -> int:
-    section = config.simulate
     if seed is None:
-        seed = int(section.get("seed", 0))
-    pairs = config.generator_pairs()
-    sample = sample_mixture(pairs, seed)
+        seed = _value(config, "simulate", "seed", int, 0)
+    bins = _value(config, "simulate", "bins", _bins, 20)
+    transform = _value(config, "simulate", "transform", float)
+    sample = sample_mixture(config.generator_pairs(), seed)
     spectrum = empirical_spectrum(sample)
-    bins = _parse_bins(section)
-    transform = section.get("transform")
-    hist = histogram(spectrum, bins, None if transform is None else float(transform))
+    hist = histogram(spectrum, bins, transform)
     _log(verbose, f"simulate: seed={seed}, p={spectrum.p}, n={spectrum.n}")
 
     write_csv(
@@ -221,18 +219,15 @@ def cmd_compare(
 ) -> int:
     section = config.compare
     if seed is None:
-        seed = int(section.get("seed", 0))
-    trials = int(section.get("trials", 10))
+        seed = _value(config, "compare", "seed", int, 0)
+    trials = _value(config, "compare", "trials", int, 10)
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
-    tol, max_iter = _fixed_point_params(section)
+    bins = _value(config, "compare", "bins", _bins, 20)
     mixture = config.mixture()
     pairs = config.generator_pairs()
-    z_grid = parse_grid(section.get("z_grid", "0.5:5:10"), "z_grid")
-    if np.any(z_grid <= 0):
-        raise ParameterError("z_grid must be strictly positive")
-
-    from .sampler import derive_seed
+    z_grid, sols, params = _z_sweep(config, "compare", mixture)
+    m_pred = np.array([sol.stieltjes for sol in sols])
 
     pooled = []
     m_emp = np.empty((trials, z_grid.size))
@@ -247,26 +242,16 @@ def cmd_compare(
     pooled = np.concatenate(pooled)
     _log(verbose, f"compare: {trials} trials sampled")
 
-    all_converged = True
-    m_pred = np.empty(z_grid.size)
-    for i, z in enumerate(z_grid):
-        sol = solve_delta(mixture, float(z), tol=tol, max_iter=max_iter)
-        all_converged &= sol.converged
-        m_pred[i] = stieltjes_from_delta(mixture, sol.delta, float(z))
-
     mean = m_emp.mean(axis=0)
     std = m_emp.std(axis=0, ddof=1) if trials > 1 else np.zeros(z_grid.size)
     abs_err = np.abs(mean - m_pred)
     sup_err = float(abs_err.max())
 
-    nbins = _parse_bins(section)
-    if np.ndim(nbins) == 0:
+    if np.ndim(bins) == 0:
         top = float(pooled.max()) * (1.0 + 1e-9) or 1.0
-        edges = np.linspace(0.0, top, int(nbins) + 1)
-    else:
-        edges = nbins
-    counts, edges = np.histogram(pooled, bins=edges)
-    emp_mass = counts / pooled.size
+        bins = np.linspace(0.0, top, bins + 1)
+    hist = histogram(pooled, bins)
+    edges = hist.edges
 
     if "lambda_grid" in section:
         lambdas = parse_grid(section["lambda_grid"], "lambda_grid")
@@ -274,12 +259,10 @@ def cmd_compare(
         lo = max(float(edges[1]) * 1e-3, float(edges[-1]) * 1e-5)
         lambdas = np.linspace(lo, float(edges[-1]), max(200, 10 * (edges.size - 1)))
     span = float(lambdas[-1] - lambdas[0]) or 1.0
-    eps_text = section.get("epsilon", "auto")
-    epsilon = 1e-3 * span if eps_text.strip() == "auto" else float(eps_text)
-    pred = density_prediction(mixture, lambdas, epsilon, **_density_params(section))
-    all_converged &= bool(pred.converged.all())
-    pred_mass = _binned_prediction(pred, edges)
-    hist_l1 = float(np.abs(emp_mass - pred_mass).sum())
+    epsilon = _epsilon(config, "compare", span)
+    pred = density_prediction(mixture, lambdas, epsilon, **params)
+    all_converged = all(sol.converged for sol in sols) and pred.converged.all()
+    hist_l1 = float(np.abs(hist.masses - _binned_prediction(pred, edges)).sum())
     _log(verbose, f"compare: sup_err={sup_err:g}, hist_l1={hist_l1:g}")
 
     write_csv(
@@ -317,19 +300,18 @@ def cmd_conclab(
     seed: int | None = None,
     verbose: bool = False,
 ) -> int:
-    section = config.conclab
     if seed is None:
-        seed = int(section.get("seed", 0))
-    names = section.get("checks", "").split()
+        seed = _value(config, "conclab", "seed", int, 0)
+    names = config.conclab.get("checks", "").split()
     unknown = [n for n in names if n not in conc_lab.CHECKS]
     if unknown:
         raise ParameterError(f"unknown conclab checks: {unknown}")
     lines = []
     all_ok = True
     for idx, name in enumerate(names):
-        params = config.checks.get(name, {})
         _log(verbose, f"conclab: running {name}")
-        records = conc_lab.CHECKS[name](params, conc_lab.derive_seed(seed, idx))
+        params = config.checks.get(name, {})
+        records = conc_lab.CHECKS[name](derive_seed(seed, idx), **params)
         for rec in records:
             lines.append(_record(*rec))
             all_ok &= rec[5]

@@ -451,11 +451,7 @@ def norm_degree(space: str, p: int, n: int | None = None, r: float | None = None
     raise ParameterError(f"unknown space {space!r}")
 
 
-def _check_tail_fit(params, seed):
-    p = int(params.get("p", 256))
-    samples = int(params.get("samples", 100_000))
-    q_lo = float(params.get("q_lo", 1.6))
-    q_hi = float(params.get("q_hi", 2.4))
+def _check_tail_fit(seed, *, p=256, samples=100_000, q_lo=1.6, q_hi=2.4):
     spec = gaussian_class_spec(np.eye(p))
     draws = sample_class(spec, samples, seed)
     norms = np.linalg.norm(draws, axis=0)
@@ -470,10 +466,7 @@ def _check_tail_fit(params, seed):
     ]
 
 
-def _check_diameter(params, seed):
-    p_list = [int(v) for v in params.get("p_list", "64 256 1024").split()]
-    trials = int(params.get("trials", 2000))
-    ratio_max = float(params.get("ratio_max", 2.0))
+def _check_diameter(seed, *, p_list=(64, 256, 1024), trials=2000, ratio_max=2.0):
     values = []
     records = []
     for p in p_list:
@@ -488,11 +481,7 @@ def _check_diameter(params, seed):
     return records
 
 
-def _check_quad_form(params, seed):
-    p = int(params.get("p", 100))
-    trials = int(params.get("trials", 10_000))
-    mean_tol = float(params.get("mean_tol", 0.5))
-    std_rtol = float(params.get("std_rtol", 0.1))
+def _check_quad_form(seed, *, p=100, trials=10_000, mean_tol=0.5, std_rtol=0.1):
     spec = gaussian_class_spec(np.eye(p))
     check = quadratic_form_check(spec, np.eye(p), trials, seed)
     std_target = np.sqrt(2.0 * p)
@@ -516,12 +505,9 @@ def _check_quad_form(params, seed):
     ]
 
 
-def _check_delta_gap(params, seed):
-    sizes = [int(v) for v in params.get("sizes", "100 200 400 800").split()]
-    gamma = float(params.get("gamma", 0.5))
-    z = float(params.get("z", 1.0))
-    trials = int(params.get("trials", 200))
-    slope_max = float(params.get("slope_max", -0.35))
+def _check_delta_gap(
+    seed, *, sizes=(100, 200, 400, 800), gamma=0.5, z=1.0, trials=200, slope_max=-0.35
+):
     report = delta_gap_sweep(sizes, gamma, z, trials, seed)
     records = [
         (f"delta_gap_n{int(n)}", err, None, trials, seed, True)
@@ -533,12 +519,9 @@ def _check_delta_gap(params, seed):
     return records
 
 
-def _check_resolvent_error(params, seed):
-    sizes = [int(v) for v in params.get("sizes", "100 200 400 800").split()]
-    gamma = float(params.get("gamma", 0.5))
-    z = float(params.get("z", 1.0))
-    trials = int(params.get("trials", 100))
-    slope_max = float(params.get("slope_max", -0.35))
+def _check_resolvent_error(
+    seed, *, sizes=(100, 200, 400, 800), gamma=0.5, z=1.0, trials=100, slope_max=-0.35
+):
     report = resolvent_error_sweep(sizes, gamma, z, trials, seed)
     records = [
         (f"resolvent_err_n{int(n)}", err, None, trials, seed, True)
@@ -561,8 +544,9 @@ def _check_resolvent_error(params, seed):
     return records
 
 
-# Named checks of ``covspec conclab``. Each takes the overrides of its
-# [conclab.<name>] config section and a seed, and returns records
+# Named checks of ``covspec conclab``. Each takes a seed and, as keyword-only
+# arguments, the overrides of its [conclab.<name>] config section; the keys
+# and their types are read off that signature. Each returns records
 # (name, value, stderr, n, seed, passed).
 CHECKS = {
     "tail_fit": _check_tail_fit,

@@ -9,6 +9,7 @@ relative to the config file. See the README for the full schema.
 from __future__ import annotations
 
 import configparser
+import inspect
 import os
 from dataclasses import dataclass, field
 
@@ -18,7 +19,7 @@ from .conc_lab import CHECKS
 from .errors import DataError, ParameterError
 from .io import read_matrix
 from .model import ClassModel, Mixture, build_mixture, toeplitz_covariance
-from .sampler import GeneratorSpec, principal_sqrt
+from .sampler import GeneratorSpec, _class_spec
 
 __all__ = ["ClassConfig", "ExperimentConfig", "load_config", "parse_grid"]
 
@@ -48,14 +49,7 @@ class ClassConfig:
         return ClassModel(sigma=self.sigma, mean=self.mean, n_l=self.n_l)
 
     def spec(self) -> GeneratorSpec:
-        centered = self.sigma - np.outer(self.mean, self.mean)
-        return GeneratorSpec(
-            kind=self.generator,
-            mean=self.mean,
-            factor=principal_sqrt(centered),
-            nonlinearity=self.nonlinearity,
-            latent=self.latent,
-        )
+        return _class_spec(self.generator, self.sigma, self.mean, self.nonlinearity, self.latent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,6 +182,14 @@ def _typed(section, key, cast, default=None, where=""):
         raise ParameterError(f"{where}: bad value for {key}: {raw!r} ({exc})") from None
 
 
+def _cast_of(default):
+    """Cast from config text to the type of ``default``; a tuple default takes
+    whitespace-separated values of its items' type."""
+    if isinstance(default, tuple):
+        return lambda text: tuple(map(type(default[0]), text.split()))
+    return type(default)
+
+
 def load_config(path: str) -> ExperimentConfig:
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -269,7 +271,12 @@ def load_config(path: str) -> ExperimentConfig:
                 raise ParameterError(
                     f"{path}: unknown check [{section}] (known: {sorted(CHECKS)})"
                 )
-            checks[name] = dict(parser[section])
+            # The check's keyword-only parameters are the section's keys.
+            params = inspect.signature(CHECKS[name]).parameters.values()
+            casts = {q.name: _cast_of(q.default) for q in params if q.kind is q.KEYWORD_ONLY}
+            sec = parser[section]
+            _check_keys(section, sec.keys(), set(casts), path)
+            checks[name] = {k: _typed(sec, k, casts[k], None, f"{path} [{section}]") for k in sec}
 
     if parser.has_section("ingest"):
         labels = ingest.get("classes", "").split()

@@ -28,7 +28,7 @@ from .fixed_point import (
     _coefficients,
     _trace_backend,
 )
-from .model import Mixture, _gram
+from .model import Mixture, _combine, _gram
 
 __all__ = [
     "SpectralPrediction",
@@ -64,11 +64,7 @@ class SpectralPrediction:
 
 def sigma_delta(mixture: Mixture, delta) -> np.ndarray:
     """Weighted population moment sum_l (n_l/n) Sigma_l / (1 + delta_l)."""
-    coeff = _coefficients(mixture, delta)
-    out = np.zeros((mixture.p, mixture.p), dtype=coeff.dtype)
-    for c, cls in zip(coeff, mixture.classes):
-        out += c * cls.sigma
-    return out
+    return _combine([c.sigma for c in mixture.classes], _coefficients(mixture, delta))
 
 
 def deterministic_resolvent(mixture: Mixture, delta, z: float) -> np.ndarray:
@@ -77,17 +73,20 @@ def deterministic_resolvent(mixture: Mixture, delta, z: float) -> np.ndarray:
     delta = np.asarray(delta, dtype=float)
     if delta.min() < 0:
         raise ParameterError("delta must be entrywise nonnegative")
-    core = sigma_delta(mixture, delta)
-    core[np.diag_indices_from(core)] += z
-    out = np.linalg.inv(core)
+    coeff = _coefficients(mixture, delta)
+    out = np.linalg.inv(_combine([c.sigma for c in mixture.classes], coeff, z))
     return (out + out.T) / 2.0
 
 
 def stieltjes_from_delta(mixture: Mixture, delta, z: float) -> float:
-    """(1/p) tr Qbar(z) at a given fixed-point vector."""
+    """(1/p) tr Qbar(z) at a given fixed-point vector.
+
+    A solve already carries this value at its own delta as
+    ``FixedPointSolution.stieltjes``.
+    """
     z = _check_z(z)
     coeff = _coefficients(mixture, np.asarray(delta, dtype=float))
-    return float(_trace_backend(mixture).mean_trace(coeff, z))
+    return float(_trace_backend(mixture).traces(coeff, z)[2])
 
 
 def stieltjes_prediction(
@@ -108,7 +107,7 @@ def stieltjes_prediction(
             f"(residual {sol.residual:.3e} after {sol.iterations} iterations)",
             solution=sol,
         )
-    return stieltjes_from_delta(mixture, sol.delta, z)
+    return sol.stieltjes
 
 
 def atom_at_zero(mixture: Mixture) -> float:
@@ -132,7 +131,8 @@ def density_prediction(
     """Continuous spectral density profile on a real grid.
 
     Each grid point solves the complex system at w = lambda + i epsilon and
-    reads the density off Im m(w) / pi. The grid is walked from right to
+    reads the density off Im m(w) / pi, with m(w) the solution's
+    ``stieltjes`` value. The grid is walked from right to
     left, each point starting from its right neighbour's solution
     (continuation along the grid); the rightmost point, and any point after
     one that did not converge, starts cold.
@@ -140,20 +140,18 @@ def density_prediction(
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1 or lambdas.size == 0:
         raise ShapeError("lambda grid must be a nonempty 1-d array")
-    if not epsilon > 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
     if np.any(np.diff(lambdas) <= 0):
         raise ParameterError("lambda grid must be strictly increasing")
+    if not epsilon > 0:
+        raise ParameterError(f"epsilon must be positive, got {epsilon}")
     atom = atom_at_zero(mixture)
-    backend = _trace_backend(mixture)
     density = np.empty(lambdas.size)
     converged = np.empty(lambdas.size, dtype=bool)
     start = None
     for j in reversed(range(lambdas.size)):
         w = complex(lambdas[j], epsilon)
         sol = solve_delta_complex(mixture, w, tol=tol, max_iter=max_iter, start=start)
-        m = backend.mean_trace(_coefficients(mixture, sol.delta), -w)
-        density[j] = max(float(m.imag) / np.pi, 0.0)
+        density[j] = max(sol.stieltjes.imag / np.pi, 0.0)
         converged[j] = sol.converged
         start = sol.delta if sol.converged else None
     return SpectralPrediction(

@@ -32,10 +32,12 @@ solution at a neighbouring grid point.
 
 Every trace goes through one backend, selected by :func:`_trace_backend`:
 sums over the joint eigenbasis when the class matrices commute, the explicit
-inverse of the dense p x p matrix otherwise. A backend gives the k class
-traces of the map, together with the k x k cross traces behind the
-Jacobian, and the normalized trace (1/p) tr(...)^-1 behind the Stieltjes
-transform, at a real or a complex shift.
+inverse of the dense p x p matrix otherwise. A backend has one method,
+``traces``, which from one factorization at a real or a complex shift gives
+the k class traces of the map, the k x k cross traces behind the Jacobian
+and the normalized trace (1/p) tr(...)^-1 behind the Stieltjes transform.
+The solve keeps the last of these, so each solution carries its Stieltjes
+value and nothing downstream factors the matrix again.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError
-from .model import Mixture
+from .model import Mixture, _combine
 
 __all__ = [
     "FixedPointSolution",
@@ -66,7 +68,8 @@ class FixedPointSolution:
 
     ``delta`` is the fixed-point vector and ``residual`` the sup-norm of
     I(delta) - delta at the returned iterate; ``iterations`` counts solver
-    steps.
+    steps. ``stieltjes`` is the predicted Stieltjes value
+    m(-z) = (1/p) tr Qbar(z) at ``delta``, from the solve's last evaluation.
     """
 
     delta: np.ndarray
@@ -74,6 +77,7 @@ class FixedPointSolution:
     iterations: int
     converged: bool
     z: float
+    stieltjes: float
 
 
 @dataclass(frozen=True)
@@ -81,7 +85,8 @@ class ComplexFixedPointSolution:
     """Result of the solve at a complex spectral argument w, Im(w) > 0.
 
     ``damping`` is the smallest step fraction the loop used: 1.0 when every
-    step was a full Newton step.
+    step was a full Newton step. ``stieltjes`` is m(w) =
+    (1/p) tr(sum_l w_l Sigma_l/(1 + delta_l) - w I)^-1 at ``delta``.
     """
 
     delta: np.ndarray
@@ -90,6 +95,7 @@ class ComplexFixedPointSolution:
     converged: bool
     w: complex
     damping: float
+    stieltjes: complex
 
 
 def _check_z(z) -> float:
@@ -120,18 +126,12 @@ class _SpectralTraces:
     def __init__(self, class_eigs: np.ndarray):
         self.eigs = class_eigs
 
-    def traces(self, coeff: np.ndarray, shift) -> np.ndarray:
-        """tr(Sigma_l (sum_h coeff_h Sigma_h + shift I)^-1) for every class l."""
-        return (self.eigs / (coeff @ self.eigs + shift)).sum(axis=1)
-
-    def traces_and_cross(self, coeff: np.ndarray, shift):
-        """Class traces tr(Sigma_l Q) and cross traces tr(Sigma_l Q Sigma_h Q)."""
-        er = self.eigs / (coeff @ self.eigs + shift)
-        return er.sum(axis=1), er @ er.T
-
-    def mean_trace(self, coeff: np.ndarray, shift):
-        """(1/p) tr(sum_h coeff_h Sigma_h + shift I)^-1."""
-        return (1.0 / (coeff @ self.eigs + shift)).sum() / self.eigs.shape[1]
+    def traces(self, coeff: np.ndarray, shift):
+        """Class traces tr(Sigma_l Q), cross traces tr(Sigma_l Q Sigma_h Q) and
+        (1/p) tr Q, for Q = (sum_h coeff_h Sigma_h + shift I)^-1."""
+        diag = coeff @ self.eigs + shift
+        er = self.eigs / diag
+        return er.sum(axis=1), er @ er.T, (1.0 / diag).sum() / diag.size
 
 
 class _DenseTraces:
@@ -145,31 +145,15 @@ class _DenseTraces:
     def __init__(self, mixture: Mixture):
         self.sigmas = [c.sigma for c in mixture.classes]
 
-    def _core(self, coeff: np.ndarray, shift) -> np.ndarray:
-        p = self.sigmas[0].shape[0]
-        core = np.zeros((p, p), dtype=np.result_type(coeff.dtype, type(shift)))
-        for c, sigma in zip(coeff, self.sigmas):
-            core += c * sigma
-        core[np.diag_indices_from(core)] += shift
-        return core
-
-    def traces(self, coeff: np.ndarray, shift) -> np.ndarray:
-        # The resolvent is assembled explicitly because k traces against
-        # arbitrary class matrices are needed.
-        resolvent = np.linalg.inv(self._core(coeff, shift))
-        return np.array([np.sum(sigma * resolvent) for sigma in self.sigmas])
-
-    def traces_and_cross(self, coeff: np.ndarray, shift):
-        # With A_h = Sigma_h Q, tr(A_l A_h) is the sum of A_l * A_h^T.
-        resolvent = np.linalg.inv(self._core(coeff, shift))
+    def traces(self, coeff: np.ndarray, shift):
+        # The resolvent is assembled explicitly because traces against
+        # arbitrary class matrices are needed. With A_h = Sigma_h Q,
+        # tr(A_l A_h) is the sum of A_l * A_h^T.
+        resolvent = np.linalg.inv(_combine(self.sigmas, coeff, shift))
         products = [sigma @ resolvent for sigma in self.sigmas]
         traces = np.array([np.trace(a) for a in products])
         cross = np.array([[np.sum(a * b.T) for b in products] for a in products])
-        return traces, cross
-
-    def mean_trace(self, coeff: np.ndarray, shift):
-        core = self._core(coeff, shift)
-        return np.trace(np.linalg.inv(core)) / len(core)
+        return traces, cross, np.trace(resolvent) / len(resolvent)
 
 
 def _trace_backend(mixture: Mixture):
@@ -184,19 +168,20 @@ def _solve(backend, mixture: Mixture, shift, tol: float, max_iter: int, start=No
     """Safeguarded Newton iteration for x = I(x) at ``shift``; see the module doc.
 
     Starts from ``start``, or from x0 = tr(Sigma_l)/(n |shift|). Returns
-    (delta, residual, iterations, converged, damping): the residual is
-    ||I(delta) - delta||_inf at the returned iterate and damping the
-    smallest step fraction used. A converged iterate with an imaginary part
-    below -tol is flagged as not converged.
+    (delta, residual, iterations, converged, damping, stieltjes): the
+    residual is ||I(delta) - delta||_inf at the returned iterate, damping the
+    smallest step fraction used and stieltjes (1/p) tr Q(delta), read off the
+    evaluation at delta. A converged iterate with an imaginary part below
+    -tol is flagged as not converged.
     """
     n = mixture.n
     weights = mixture.weights
 
     def evaluate(x):
-        """I(x) - x, its sup-norm and the Jacobian of I at x."""
-        traces, cross = backend.traces_and_cross(weights / (1.0 + x), shift)
+        """I(x) - x, its sup-norm, the Jacobian of I at x and (1/p) tr Q(x)."""
+        traces, cross, mean = backend.traces(weights / (1.0 + x), shift)
         step = traces / n - x
-        return step, float(np.abs(step).max()), cross * (weights / (1.0 + x) ** 2) / n
+        return step, float(np.abs(step).max()), cross * (weights / (1.0 + x) ** 2) / n, mean
 
     if start is None:
         cur = (mixture.class_traces() / (n * abs(shift))).astype(type(shift))
@@ -205,7 +190,7 @@ def _solve(backend, mixture: Mixture, shift, tol: float, max_iter: int, start=No
     # The admissible set: x >= 0 at a real shift, Im x >= 0 at a complex one.
     bounded = np.imag if np.iscomplexobj(cur) else np.real
     eye = np.eye(mixture.k)
-    step, residual, jac = evaluate(cur)
+    step, residual, jac, stieltjes = evaluate(cur)
     converged = residual <= tol * max(1.0, float(np.abs(cur).max()))
     damping = beta = 1.0
     stall = np.inf
@@ -236,11 +221,11 @@ def _solve(backend, mixture: Mixture, shift, tol: float, max_iter: int, start=No
             evaluated = evaluate(trial)
         damping = min(damping, frac)
         cur = trial
-        step, residual, jac = evaluated
+        step, residual, jac, stieltjes = evaluated
         converged = residual <= tol * max(1.0, float(np.abs(cur).max()))
     if converged and float(np.imag(cur).min()) < -tol:
         converged = False
-    return cur, residual, iterations, converged, damping
+    return cur, residual, iterations, converged, damping, stieltjes
 
 
 def interference_map(delta, mixture: Mixture, z: float) -> np.ndarray:
@@ -254,7 +239,7 @@ def interference_map(delta, mixture: Mixture, z: float) -> np.ndarray:
     if delta.min() < 0:
         raise ParameterError("delta must be entrywise nonnegative")
     coeff = _coefficients(mixture, delta)
-    return _trace_backend(mixture).traces(coeff, z) / mixture.n
+    return _trace_backend(mixture).traces(coeff, z)[0] / mixture.n
 
 
 def solve_delta(
@@ -277,10 +262,10 @@ def solve_delta(
         raise ParameterError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
-    delta, residual, iterations, converged, _ = _solve(
+    delta, residual, iterations, converged, _, m = _solve(
         _trace_backend(mixture), mixture, z, tol, max_iter
     )
-    return FixedPointSolution(delta, residual, iterations, converged, z)
+    return FixedPointSolution(delta, residual, iterations, converged, z, float(m))
 
 
 def solve_delta_complex(
@@ -314,7 +299,7 @@ def solve_delta_complex(
         start = np.asarray(start, dtype=complex)
         if start.shape != (mixture.k,):
             raise ShapeError(f"start has shape {start.shape}, expected ({mixture.k},)")
-    delta, residual, iterations, converged, frac = _solve(
+    delta, residual, iterations, converged, frac, m = _solve(
         _trace_backend(mixture), mixture, -w, tol, max_iter, start
     )
-    return ComplexFixedPointSolution(delta, residual, iterations, converged, w, frac)
+    return ComplexFixedPointSolution(delta, residual, iterations, converged, w, frac, complex(m))

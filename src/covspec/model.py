@@ -49,6 +49,15 @@ def _gram(X: np.ndarray, n: int, shift: float = 0.0) -> np.ndarray:
     return gram
 
 
+def _combine(sigmas, coeff, shift=0.0) -> np.ndarray:
+    """sum_h coeff_h sigmas[h] + shift I, accumulated in class order."""
+    out = np.zeros(sigmas[0].shape, dtype=np.result_type(np.asarray(coeff), shift))
+    for c, sigma in zip(coeff, sigmas):
+        out += c * sigma
+    out[np.diag_indices_from(out)] += shift
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class ClassModel:
     """Second-moment description of one mixture class.
@@ -181,10 +190,7 @@ class Mixture:
 
     def sigma(self) -> np.ndarray:
         """Population-level second moment sum_l (n_l/n) Sigma_l."""
-        out = np.zeros((self.p, self.p))
-        for w, c in zip(self.weights, self.classes):
-            out += w * c.sigma
-        return out
+        return _combine([c.sigma for c in self.classes], self.weights)
 
     def class_traces(self) -> np.ndarray:
         return np.array([c.trace() for c in self.classes])

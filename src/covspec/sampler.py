@@ -61,7 +61,10 @@ _U64 = np.uint64
 
 def derive_seed(seed: int, *path: int) -> int:
     """Stable 64-bit subseed for a (seed, index...) path."""
-    ss = np.random.SeedSequence((int(seed),) + tuple(int(x) for x in path))
+    entropy = (int(seed),) + tuple(int(x) for x in path)
+    if not all(0 <= v < 2**64 for v in entropy):
+        raise ParameterError(f"seed and path must lie in [0, 2**64), got {entropy}")
+    ss = np.random.SeedSequence(entropy)
     return int(ss.generate_state(1, _U64)[0])
 
 
@@ -170,21 +173,20 @@ def principal_sqrt(matrix: np.ndarray) -> np.ndarray:
     return (v * np.sqrt(w)) @ v.T
 
 
-def gaussian_class_spec(sigma: np.ndarray, mean: np.ndarray | None = None) -> GeneratorSpec:
-    """Gaussian generator matching a target second moment.
-
-    The factor is the principal square root of sigma - mean mean^T, so
-    E[y y^T] equals sigma exactly.
-    """
+def _class_spec(
+    kind: str, sigma, mean=None, nonlinearity: str = "identity", latent=None
+) -> GeneratorSpec:
+    """Generator of ``kind`` whose factor is the principal square root of
+    sigma - mean mean^T, so E[y y^T] equals sigma for an affine kind."""
     sigma = np.asarray(sigma, dtype=float)
-    if mean is None:
-        mean = np.zeros(sigma.shape[0])
-    mean = np.asarray(mean, dtype=float)
-    return GeneratorSpec(
-        kind="gaussian",
-        mean=mean,
-        factor=principal_sqrt(sigma - np.outer(mean, mean)),
-    )
+    mean = np.zeros(sigma.shape[0]) if mean is None else np.asarray(mean, dtype=float)
+    factor = principal_sqrt(sigma - np.outer(mean, mean))
+    return GeneratorSpec(kind, mean, factor, nonlinearity, latent)
+
+
+def gaussian_class_spec(sigma: np.ndarray, mean: np.ndarray | None = None) -> GeneratorSpec:
+    """Gaussian generator matching a target second moment."""
+    return _class_spec("gaussian", sigma, mean)
 
 
 def bounded_class_spec(
@@ -193,16 +195,7 @@ def bounded_class_spec(
     latent: str = "rademacher",
 ) -> GeneratorSpec:
     """Bounded-affine generator with the same second moment as the Gaussian one."""
-    sigma = np.asarray(sigma, dtype=float)
-    if mean is None:
-        mean = np.zeros(sigma.shape[0])
-    mean = np.asarray(mean, dtype=float)
-    return GeneratorSpec(
-        kind="bounded-affine",
-        mean=mean,
-        factor=principal_sqrt(sigma - np.outer(mean, mean)),
-        latent=latent,
-    )
+    return _class_spec("bounded-affine", sigma, mean, latent=latent)
 
 
 def class_model_of(spec: GeneratorSpec, n_l: int) -> ClassModel:

@@ -351,6 +351,59 @@ def test_usage_errors_exit_two(tmp_path, capsys):
     assert "error:" in err
 
 
+CONCLAB = """
+    [conclab]
+    checks = quad_form
+
+    [conclab.quad_form]
+    p = 4
+    trials = 200
+"""
+
+
+@pytest.mark.parametrize(
+    "command, section, line",
+    [
+        ("predict", "predict", "tol = abc"),
+        ("predict", "predict", "max_iter = many"),
+        ("predict", "predict", "epsilon = tiny"),
+        ("simulate", "simulate", "bins = lots"),
+        ("compare", "compare", "trials = ten"),
+        ("compare", "compare", "seed = -1"),
+        ("conclab", "conclab", "seed = -1"),
+    ],
+)
+def test_bad_section_values_exit_two(tmp_path, capsys, command, section, line):
+    # A configuration error, not a traceback with exit 1, the code that
+    # means "did not converge".
+    blocks = textwrap.dedent(BASE + CONCLAB).split("\n\n")
+    for i, block in enumerate(blocks):
+        if block.strip().startswith(f"[{section}]"):
+            kept = [b for b in block.splitlines() if not b.startswith(line.split()[0] + " ")]
+            blocks[i] = "\n".join(kept + [line])
+    cfg_path = write_config(tmp_path, "\n\n".join(blocks))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    if "-1" not in line:
+        assert f"{cfg_path} [{section}]: bad value for {line.split()[0]}" in err
+    assert not any(out.iterdir())
+
+
+def test_compare_rejects_bin_edges_that_miss_the_spectrum(tmp_path, capsys):
+    # Edges must cover every pooled eigenvalue, as simulate requires.
+    cfg_path = write_config(tmp_path, BASE.replace("bins = 5", "bins = 0 0.5 1"))
+    out = tmp_path / "out"
+    assert main(["compare", "--config", cfg_path, "--out", str(out)]) == 2
+    assert "do not cover the spectrum" in capsys.readouterr().err
+    assert not (out / "compare.csv").exists()
+    cfg_path = write_config(tmp_path, BASE.replace("bins = 5", "bins = 0 1 2 50"))
+    assert main(["compare", "--config", cfg_path, "--out", str(out)]) == 0
+    comments, _, _ = read_csv_file(out / "compare.csv")
+    assert float(comments["hist_l1"]) >= 0.0
+
+
 def test_bad_z_grid_exits_two(tmp_path):
     cfg_path = write_config(
         tmp_path,

@@ -278,9 +278,21 @@ def test_conclab_checks_parsed_and_validated(tmp_path):
         )
     )
     assert cfg.conclab == {"checks": "quad_form", "seed": "3"}
-    assert cfg.checks["quad_form"] == {"p": "10", "trials": "500"}
+    assert cfg.checks["quad_form"] == {"p": 10, "trials": 500}
     with pytest.raises(ParameterError, match="unknown check"):
         load_config(write_config(tmp_path, MINIMAL, "[conclab.bogus]\nx = 1\n"))
+
+
+def test_conclab_check_keys_come_from_the_check_signature(tmp_path):
+    # A misspelt key must be an error, not a silent run on the defaults.
+    with pytest.raises(ParameterError, match="unknown keys.*trails"):
+        load_config(write_config(tmp_path, MINIMAL, "[conclab.quad_form]\ntrails = 5\n"))
+    with pytest.raises(ParameterError, match=r"\[conclab.diameter\]: bad value for p_list"):
+        load_config(write_config(tmp_path, MINIMAL, "[conclab.diameter]\np_list = 8 x\n"))
+    cfg = load_config(
+        write_config(tmp_path, MINIMAL, "[conclab.delta_gap]\nsizes = 10 20\nz = 2\n")
+    )
+    assert cfg.checks["delta_gap"] == {"sizes": (10, 20), "z": 2.0}
 
 
 def test_ingest_section_parsing(tmp_path):

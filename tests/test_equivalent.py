@@ -19,6 +19,7 @@ from covspec import (
     empirical_stieltjes,
     sigma_delta,
     solve_delta,
+    solve_delta_complex,
     stieltjes_from_delta,
     stieltjes_prediction,
     toeplitz_covariance,
@@ -50,6 +51,32 @@ def test_sigma_delta_rejects_pole():
         sigma_delta(mix, np.array([-1.0]))
     with pytest.raises(ParameterError):
         stieltjes_from_delta(mix, np.array([-1.0]), 1.0)
+
+
+def test_solution_carries_the_stieltjes_value_of_its_delta(rng):
+    # The value the solve read off its last evaluation is, to the bit, a
+    # fresh trace at the returned delta, on both backends.
+    t = toeplitz_covariance(0.5, 12)
+    a = rng.standard_normal((12, 12))
+    s = a @ a.T / 12
+    spectral = build_mixture([ClassModel(sigma=t, mean=np.zeros(12), n_l=10)], 10)
+    dense = build_mixture(
+        [
+            ClassModel(sigma=t, mean=np.zeros(12), n_l=6),
+            ClassModel(sigma=(s + s.T) / 2, mean=np.zeros(12), n_l=9),
+        ],
+        15,
+    )
+    assert spectral.spectral() is not None and dense.spectral() is None
+    for mix in (spectral, dense):
+        for z in (0.1, 1.0, 7.0):
+            sol = solve_delta(mix, z)
+            assert sol.stieltjes == stieltjes_from_delta(mix, sol.delta, z)
+            assert stieltjes_prediction(mix, z) == sol.stieltjes
+        w = complex(1.0, 0.05)
+        csol = solve_delta_complex(mix, w)
+        fresh = _trace_backend(mix).traces(mix.weights / (1.0 + csol.delta), -w)[2]
+        assert csol.stieltjes == fresh
 
 
 def test_stieltjes_matches_trace_of_equivalent():
@@ -95,7 +122,7 @@ def _rotated_diagonal_mixture(rng, k, p=16):
 def _dense_density(mix, backend, lam, epsilon, tol, max_iter):
     w = complex(lam, epsilon)
     delta = _solve(backend, mix, -w, tol, max_iter)[0]
-    m = backend.mean_trace(mix.weights / (1.0 + delta), -w)
+    m = backend.traces(mix.weights / (1.0 + delta), -w)[2]
     return max(float(m.imag) / np.pi, 0.0)
 
 
@@ -108,10 +135,10 @@ def test_spectral_and_dense_backends_agree(rng, k):
     dense = _DenseTraces(mix)
     for z in (0.02, 0.3, 1.0, 5.0):
         sol = solve_delta(mix, z)
-        delta, _, _, converged, _ = _solve(dense, mix, z, 1e-12, 10_000)
+        delta, _, _, converged, _, _ = _solve(dense, mix, z, 1e-12, 10_000)
         assert sol.converged and converged
         np.testing.assert_allclose(delta, sol.delta, rtol=1e-9, atol=0)
-        m_dense = dense.mean_trace(mix.weights / (1.0 + delta), z)
+        m_dense = dense.traces(mix.weights / (1.0 + delta), z)[2]
         np.testing.assert_allclose(
             m_dense, stieltjes_from_delta(mix, sol.delta, z), rtol=1e-9, atol=0
         )

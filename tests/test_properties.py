@@ -83,7 +83,7 @@ def _central_difference(backend, coeff, shift, h):
         bump = np.zeros(coeff.size)
         bump[j] = h
         cols.append(
-            (backend.traces(coeff + bump, shift) - backend.traces(coeff - bump, shift))
+            (backend.traces(coeff + bump, shift)[0] - backend.traces(coeff - bump, shift)[0])
             / (2 * h)
         )
     return np.stack(cols, axis=1)
@@ -91,8 +91,7 @@ def _central_difference(backend, coeff, shift, h):
 
 def _check_cross_traces(backend, coeff, shift):
     # d tr(Sigma_l Q) / d coeff_h = -tr(Sigma_l Q Sigma_h Q).
-    traces, cross = backend.traces_and_cross(coeff, shift)
-    np.testing.assert_allclose(traces, backend.traces(coeff, shift), rtol=1e-12, atol=0)
+    cross = backend.traces(coeff, shift)[1]
     numeric = _central_difference(backend, coeff, shift, 1e-5)
     np.testing.assert_allclose(-cross, numeric, rtol=1e-6, atol=0)
     return cross

@@ -31,6 +31,12 @@ def test_derive_seed_is_stable_and_distinct():
     assert 0 <= a < 2**64
 
 
+@pytest.mark.parametrize("path", [(-1,), (2**64,), (0, -1)])
+def test_derive_seed_rejects_values_outside_64_bits(path):
+    with pytest.raises(ParameterError, match="2\\*\\*64"):
+        derive_seed(*path)
+
+
 def test_principal_sqrt_squares_back(rng):
     a = rng.standard_normal((5, 5))
     sigma = a @ a.T
