@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from . import conc_lab
-from .config import ExperimentConfig, _typed, load_config, parse_grid
+from .config import ExperimentConfig, load_config
 from .equivalent import density_prediction
 from .errors import ConvergenceError, DataError, ParameterError, ShapeError
 from .fixed_point import solve_delta
@@ -46,32 +46,25 @@ def _log(verbose: bool, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _value(config: ExperimentConfig, name: str, key: str, cast, default=None):
-    """Value of ``key`` in section [name], cast; a bad one names file and section."""
-    return _typed(getattr(config, name), key, cast, default, f"{config.path} [{name}]")
+def _predictions(config: ExperimentConfig, name: str, mixture, default_lambdas):
+    """Fixed points on the z grid of section [name] and the density profile
+    on its lambda grid, or on ``default_lambdas()`` when it sets none.
 
-
-def _z_sweep(config: ExperimentConfig, name: str, mixture):
-    """Fixed points over the z grid of section [name].
-
-    Returns the grid, one solution per z and the section's ``tol`` and
-    ``max_iter``, which the caller passes on to the density solve as well;
-    a key the section leaves out keeps each solve's own default.
+    The section's ``tol`` and ``max_iter`` apply to both solves; a key it
+    leaves out keeps each solve's own default. ``epsilon = auto`` (the
+    default) is 1e-3 of the lambda span. Returns the z grid, one solution
+    per z, the density prediction and whether every solve converged.
     """
     section = getattr(config, name)
-    casts = {"tol": float, "max_iter": int}
-    params = {key: _value(config, name, key, casts[key]) for key in casts if key in section}
-    z_grid = parse_grid(section.get("z_grid", "0.5:5:10"), "z_grid")
-    if np.any(z_grid <= 0):
-        raise ParameterError("z_grid must be strictly positive")
-    return z_grid, [solve_delta(mixture, float(z), **params) for z in z_grid], params
-
-
-def _epsilon(config: ExperimentConfig, name: str, span: float) -> float:
-    """The section's density epsilon; ``auto`` (the default) is 1e-3 * span."""
-    if getattr(config, name).get("epsilon", "auto").strip() == "auto":
-        return 1e-3 * span
-    return _value(config, name, "epsilon", float)
+    params = {key: section[key] for key in ("tol", "max_iter") if key in section}
+    z_grid = section.get("z_grid", np.linspace(0.5, 5.0, 10))
+    sols = [solve_delta(mixture, float(z), **params) for z in z_grid]
+    lambdas = section["lambda_grid"] if "lambda_grid" in section else default_lambdas()
+    epsilon = section.get("epsilon")
+    if epsilon is None:
+        epsilon = 1e-3 * (float(lambdas[-1] - lambdas[0]) or float(lambdas[-1]) or 1.0)
+    pred = density_prediction(mixture, lambdas, epsilon, **params)
+    return z_grid, sols, pred, all(sol.converged for sol in sols) and pred.converged.all()
 
 
 def _auto_lambda_grid(mixture, count: int) -> np.ndarray:
@@ -100,8 +93,9 @@ def cmd_predict(
     verbose: bool = False,
 ) -> int:
     mixture = config.mixture()
-    section = config.predict
-    z_grid, sols, params = _z_sweep(config, "predict", mixture)
+    z_grid, sols, pred, all_converged = _predictions(
+        config, "predict", mixture, lambda: _auto_lambda_grid(mixture, 200)
+    )
     delta_rows = [
         (z, l, d, sol.residual, sol.iterations)
         for z, sol in zip(z_grid, sols)
@@ -109,16 +103,7 @@ def cmd_predict(
     ]
     stieltjes_rows = [(z, sol.stieltjes) for z, sol in zip(z_grid, sols)]
     _log(verbose, f"predict: solved {z_grid.size} z points")
-
-    if "lambda_grid" in section:
-        lambdas = parse_grid(section["lambda_grid"], "lambda_grid")
-    else:
-        lambdas = _auto_lambda_grid(mixture, 200)
-    span = float(lambdas[-1] - lambdas[0]) or float(lambdas[-1]) or 1.0
-    epsilon = _epsilon(config, "predict", span)
-    pred = density_prediction(mixture, lambdas, epsilon, **params)
-    all_converged = all(sol.converged for sol in sols) and pred.converged.all()
-    _log(verbose, f"predict: density on {lambdas.size} points, epsilon={epsilon:g}")
+    _log(verbose, f"predict: density on {pred.lambdas.size} points, epsilon={pred.epsilon:g}")
 
     write_csv(
         os.path.join(out_dir, "delta.csv"),
@@ -146,29 +131,18 @@ def cmd_predict(
     return 0
 
 
-def _bins(text: str):
-    """A positive bin count, or explicit bin edges."""
-    parts = text.split()
-    if len(parts) != 1:
-        return np.array([float(v) for v in parts])
-    if int(parts[0]) < 1:
-        raise ValueError("bin count must be positive")
-    return int(parts[0])
-
-
 def cmd_simulate(
     config: ExperimentConfig,
     out_dir: str,
     seed: int | None = None,
     verbose: bool = False,
 ) -> int:
+    section = config.simulate
     if seed is None:
-        seed = _value(config, "simulate", "seed", int, 0)
-    bins = _value(config, "simulate", "bins", _bins, 20)
-    transform = _value(config, "simulate", "transform", float)
+        seed = section.get("seed", 0)
     sample = sample_mixture(config.generator_pairs(), seed)
     spectrum = empirical_spectrum(sample)
-    hist = histogram(spectrum, bins, transform)
+    hist = histogram(spectrum, section.get("bins", 20), section.get("transform"))
     _log(verbose, f"simulate: seed={seed}, p={spectrum.p}, n={spectrum.n}")
 
     write_csv(
@@ -219,33 +193,19 @@ def cmd_compare(
 ) -> int:
     section = config.compare
     if seed is None:
-        seed = _value(config, "compare", "seed", int, 0)
-    trials = _value(config, "compare", "trials", int, 10)
+        seed = section.get("seed", 0)
+    trials = section.get("trials", 10)
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
-    bins = _value(config, "compare", "bins", _bins, 20)
+    bins = section.get("bins", 20)
     mixture = config.mixture()
     pairs = config.generator_pairs()
-    z_grid, sols, params = _z_sweep(config, "compare", mixture)
-    m_pred = np.array([sol.stieltjes for sol in sols])
-
-    pooled = []
-    m_emp = np.empty((trials, z_grid.size))
-    for t in range(trials):
-        sample = sample_mixture(pairs, derive_seed(seed, t))
-        spectrum = empirical_spectrum(sample)
-        pooled.append(spectrum.values)
-        # Stieltjes values follow directly from the eigenvalues.
-        m_emp[t] = [
-            float(np.mean(1.0 / (spectrum.values + z))) for z in z_grid
-        ]
-    pooled = np.concatenate(pooled)
+    spectra = [
+        empirical_spectrum(sample_mixture(pairs, derive_seed(seed, t))).values
+        for t in range(trials)
+    ]
+    pooled = np.concatenate(spectra)
     _log(verbose, f"compare: {trials} trials sampled")
-
-    mean = m_emp.mean(axis=0)
-    std = m_emp.std(axis=0, ddof=1) if trials > 1 else np.zeros(z_grid.size)
-    abs_err = np.abs(mean - m_pred)
-    sup_err = float(abs_err.max())
 
     if np.ndim(bins) == 0:
         top = float(pooled.max()) * (1.0 + 1e-9) or 1.0
@@ -253,15 +213,18 @@ def cmd_compare(
     hist = histogram(pooled, bins)
     edges = hist.edges
 
-    if "lambda_grid" in section:
-        lambdas = parse_grid(section["lambda_grid"], "lambda_grid")
-    else:
+    def default_lambdas():
         lo = max(float(edges[1]) * 1e-3, float(edges[-1]) * 1e-5)
-        lambdas = np.linspace(lo, float(edges[-1]), max(200, 10 * (edges.size - 1)))
-    span = float(lambdas[-1] - lambdas[0]) or 1.0
-    epsilon = _epsilon(config, "compare", span)
-    pred = density_prediction(mixture, lambdas, epsilon, **params)
-    all_converged = all(sol.converged for sol in sols) and pred.converged.all()
+        return np.linspace(lo, float(edges[-1]), max(200, 10 * (edges.size - 1)))
+
+    z_grid, sols, pred, all_converged = _predictions(config, "compare", mixture, default_lambdas)
+    m_pred = np.array([sol.stieltjes for sol in sols])
+    # Stieltjes values follow directly from the eigenvalues.
+    m_emp = np.array([[float(np.mean(1.0 / (v + z))) for z in z_grid] for v in spectra])
+    mean = m_emp.mean(axis=0)
+    std = m_emp.std(axis=0, ddof=1) if trials > 1 else np.zeros(z_grid.size)
+    abs_err = np.abs(mean - m_pred)
+    sup_err = float(abs_err.max())
     hist_l1 = float(np.abs(hist.masses - _binned_prediction(pred, edges)).sum())
     _log(verbose, f"compare: sup_err={sup_err:g}, hist_l1={hist_l1:g}")
 
@@ -301,14 +264,10 @@ def cmd_conclab(
     verbose: bool = False,
 ) -> int:
     if seed is None:
-        seed = _value(config, "conclab", "seed", int, 0)
-    names = config.conclab.get("checks", "").split()
-    unknown = [n for n in names if n not in conc_lab.CHECKS]
-    if unknown:
-        raise ParameterError(f"unknown conclab checks: {unknown}")
+        seed = config.conclab.get("seed", 0)
     lines = []
     all_ok = True
-    for idx, name in enumerate(names):
+    for idx, name in enumerate(config.conclab.get("checks", [])):
         _log(verbose, f"conclab: running {name}")
         params = config.checks.get(name, {})
         records = conc_lab.CHECKS[name](derive_seed(seed, idx), **params)

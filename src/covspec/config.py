@@ -4,6 +4,13 @@ A config describes a mixture once and parameterizes each command in its own
 section. Matrices are never inlined: a class's second moment is either a
 synthetic recipe (identity, toeplitz, zero) or a file reference resolved
 relative to the config file. See the README for the full schema.
+
+Every section is checked and typed when the config loads, whether or not the
+command reads it: one table gives the keys each section takes and the cast
+of each from text, and a [conclab.<check>] section takes the check's
+keyword-only parameters. An unknown section or key, or a value its cast
+rejects, is a ParameterError naming the file and section. Range checks stay
+with the library functions that use the values.
 """
 
 from __future__ import annotations
@@ -22,15 +29,6 @@ from .model import ClassModel, Mixture, build_mixture, toeplitz_covariance
 from .sampler import GeneratorSpec, _class_spec
 
 __all__ = ["ClassConfig", "ExperimentConfig", "load_config", "parse_grid"]
-
-_CLASS_KEYS = {"n_l", "sigma", "mean", "generator", "latent", "nonlinearity"}
-_MIXTURE_KEYS = {"p", "n", "classes"}
-_PREDICT_KEYS = {"z_grid", "lambda_grid", "epsilon", "tol", "max_iter"}
-_SIMULATE_KEYS = {"seed", "bins", "transform"}
-_COMPARE_KEYS = {"z_grid", "lambda_grid", "epsilon", "trials", "seed", "bins", "tol", "max_iter"}
-_CONCLAB_KEYS = {"checks", "seed"}
-_INGEST_KEYS = {"classes", "delimiter"}
-_INGEST_CLASS_KEYS = {"file", "n_l"}
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +73,7 @@ class ExperimentConfig:
         return [(c.spec(), c.n_l) for c in self.class_configs]
 
 
-def parse_grid(text: str, name: str) -> np.ndarray:
+def _grid(text: str) -> np.ndarray:
     """Grid syntax: 'a:b:k' for an inclusive linspace, 'log:a:b:k' for a
     geometric one, or listed values."""
     text = text.strip()
@@ -83,66 +81,65 @@ def parse_grid(text: str, name: str) -> np.ndarray:
     if text.startswith("log:"):
         spacing = np.geomspace
         text = text[4:]
-    try:
-        if ":" in text:
-            parts = text.split(":")
-            if len(parts) != 3:
-                raise ValueError("expected start:stop:count")
-            start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
-            if count < 1:
-                raise ValueError("count must be positive")
-            grid = spacing(start, stop, count)
-        else:
-            grid = np.array([float(v) for v in text.split()])
-    except ValueError as exc:
-        raise ParameterError(f"bad grid for {name}: {text!r} ({exc})") from None
+    if ":" in text:
+        parts = text.split(":")
+        if len(parts) != 3:
+            raise ValueError("expected start:stop:count")
+        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        if count < 1:
+            raise ValueError("count must be positive")
+        grid = spacing(start, stop, count)
+    else:
+        grid = np.array([float(v) for v in text.split()])
     if grid.size == 0:
-        raise ParameterError(f"empty grid for {name}")
+        raise ValueError("empty grid")
     return grid
 
 
+def parse_grid(text: str, name: str) -> np.ndarray:
+    """The grid ``text`` describes; a malformed one is an error naming ``name``."""
+    try:
+        return _grid(text)
+    except ValueError as exc:
+        raise ParameterError(f"bad grid for {name}: {text!r} ({exc})") from None
+
+
 def _parse_sigma(value: str, p: int | None, base_dir: str, where: str) -> np.ndarray:
-    tokens = value.split()
-    kind = tokens[0] if tokens else ""
-    opts = {}
-    if kind != "file":  # the file form takes a path, not key=value options
-        for tok in tokens[1:]:
+    kind, *args = value.split() or [""]
+    if kind == "file":  # the file form takes a path, not key=value options
+        if len(args) != 1:
+            raise ParameterError(f"{where}: sigma file form is 'file PATH'")
+        out = read_matrix(os.path.join(base_dir, args[0]))
+    elif kind not in ("identity", "zero", "toeplitz"):
+        raise ParameterError(f"{where}: unknown sigma recipe {kind!r}")
+    elif p is None:
+        raise ParameterError(f"{where}: {kind} sigma needs p in [mixture]")
+    else:
+        opts = {}
+        for tok in args:
             if "=" not in tok:
                 raise ParameterError(f"{where}: bad sigma option {tok!r}")
             key, _, val = tok.partition("=")
             opts[key] = val
-    try:
-        if kind == "identity":
-            if p is None:
-                raise ParameterError(f"{where}: identity sigma needs p in [mixture]")
-            scale = float(opts.pop("scale", 1.0))
-            out = scale * np.eye(p)
-        elif kind == "zero":
-            if p is None:
-                raise ParameterError(f"{where}: zero sigma needs p in [mixture]")
-            out = np.zeros((p, p))
-        elif kind == "toeplitz":
-            if p is None:
-                raise ParameterError(f"{where}: toeplitz sigma needs p in [mixture]")
-            a = float(opts.pop("a"))
-            scale = float(opts.pop("scale", 1.0))
-            power = int(opts.pop("power", 1))
-            if power < 1:
-                raise ParameterError(f"{where}: toeplitz power must be >= 1")
-            base = toeplitz_covariance(a, p)
-            out = scale * np.linalg.matrix_power(base, power)
-            out = (out + out.T) / 2.0
-        elif kind == "file":
-            if len(tokens) != 2:
-                raise ParameterError(f"{where}: sigma file form is 'file PATH'")
-            out = read_matrix(os.path.join(base_dir, tokens[1]))
-            opts = {}
-        else:
-            raise ParameterError(f"{where}: unknown sigma recipe {kind!r}")
-    except KeyError as exc:
-        raise ParameterError(f"{where}: sigma recipe missing option {exc}") from None
-    if opts:
-        raise ParameterError(f"{where}: unused sigma options {sorted(opts)}")
+        try:
+            if kind == "zero":
+                out = np.zeros((p, p))
+            elif kind == "identity":
+                out = float(opts.pop("scale", 1.0)) * np.eye(p)
+            else:
+                a = float(opts.pop("a"))
+                scale = float(opts.pop("scale", 1.0))
+                power = int(opts.pop("power", 1))
+                if power < 1:
+                    raise ValueError("toeplitz power must be >= 1")
+                out = scale * np.linalg.matrix_power(toeplitz_covariance(a, p), power)
+                out = (out + out.T) / 2.0
+        except KeyError as exc:
+            raise ParameterError(f"{where}: sigma recipe missing option {exc}") from None
+        except ValueError as exc:
+            raise ParameterError(f"{where}: bad sigma {value!r} ({exc})") from None
+        if opts:
+            raise ParameterError(f"{where}: unused sigma options {sorted(opts)}")
     if p is not None and out.shape != (p, p):
         raise ParameterError(
             f"{where}: sigma has shape {out.shape}, expected ({p}, {p})"
@@ -163,23 +160,23 @@ def _parse_mean(value: str, p: int, base_dir: str, where: str) -> np.ndarray:
     raise ParameterError(f"{where}: mean must be 'zeros' or 'file PATH'")
 
 
-def _check_keys(section: str, present, allowed, path: str) -> None:
-    unknown = set(present) - allowed
+def _bins(text: str):
+    """A positive bin count, or explicit bin edges."""
+    parts = text.split()
+    if len(parts) != 1:
+        return np.array([float(v) for v in parts])
+    if int(parts[0]) < 1:
+        raise ValueError("bin count must be positive")
+    return int(parts[0])
+
+
+def _check_names(text: str) -> list:
+    """Names of conclab checks, in the order given."""
+    names = text.split()
+    unknown = [name for name in names if name not in CHECKS]
     if unknown:
-        raise ParameterError(
-            f"{path}: unknown keys {sorted(unknown)} in [{section}] "
-            f"(allowed: {sorted(allowed)})"
-        )
-
-
-def _typed(section, key, cast, default=None, where=""):
-    if key not in section:
-        return default
-    raw = section[key]
-    try:
-        return cast(raw)
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{where}: bad value for {key}: {raw!r} ({exc})") from None
+        raise ValueError(f"unknown checks {unknown} (known: {sorted(CHECKS)})")
+    return names
 
 
 def _cast_of(default):
@@ -188,6 +185,50 @@ def _cast_of(default):
     if isinstance(default, tuple):
         return lambda text: tuple(map(type(default[0]), text.split()))
     return type(default)
+
+
+def _check_casts(check) -> dict:
+    """A check's keyword-only parameters are the keys of its [conclab.<check>] section."""
+    params = inspect.signature(check).parameters.values()
+    return {q.name: _cast_of(q.default) for q in params if q.kind is q.KEYWORD_ONLY}
+
+
+_PREDICT = {
+    "z_grid": _grid,
+    "lambda_grid": _grid,
+    "epsilon": lambda text: None if text == "auto" else float(text),  # auto: 1e-3 of the span
+    "tol": float,
+    "max_iter": int,
+}
+# The keys each section takes and the cast of each from config text. All
+# [class.<label>] sections share one entry, as do [ingest.class.<label>].
+_SECTIONS = {
+    "mixture": {"p": int, "n": int, "classes": str.split},
+    "class": {"n_l": int, "sigma": str, "mean": str, "generator": str, "latent": str,
+              "nonlinearity": str},
+    "predict": _PREDICT,
+    "simulate": {"seed": int, "bins": _bins, "transform": float},
+    "compare": _PREDICT | {"trials": int, "seed": int, "bins": _bins},
+    "conclab": {"checks": _check_names, "seed": int},
+    "ingest": {"classes": str.split, "delimiter": str},
+    "ingest.class": {"file": str, "n_l": int},
+    **{f"conclab.{name}": _check_casts(check) for name, check in CHECKS.items()},
+}
+
+
+def _typed(section, casts: dict, where: str) -> dict:
+    """The section's values, each cast from text; an unknown key or a value
+    that does not cast is a configuration error naming file and section."""
+    unknown = set(section) - set(casts)
+    if unknown:
+        raise ParameterError(f"{where}: unknown keys {sorted(unknown)} (allowed: {sorted(casts)})")
+    out = {}
+    for key, raw in section.items():
+        try:
+            out[key] = casts[key](raw)
+        except ValueError as exc:
+            raise ParameterError(f"{where}: bad value for {key}: {raw!r} ({exc})") from None
+    return out
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -201,114 +242,63 @@ def load_config(path: str) -> ExperimentConfig:
         raise DataError(f"config parse error in {path}: {exc}") from None
     base_dir = os.path.dirname(os.path.abspath(path))
 
-    class_configs = []
-    n_total = None
-    if parser.has_section("mixture"):
-        mix = parser["mixture"]
-        _check_keys("mixture", mix.keys(), _MIXTURE_KEYS, path)
-        p = _typed(mix, "p", int, None, path)
-        n_total = _typed(mix, "n", int, None, path)
-        if "classes" not in mix:
-            raise ParameterError(f"{path}: [mixture] needs a 'classes' list")
-        labels = mix["classes"].split()
-        if not labels:
-            raise ParameterError(f"{path}: [mixture] classes list is empty")
-        for label in labels:
-            section = f"class.{label}"
-            if not parser.has_section(section):
-                raise ParameterError(f"{path}: missing [{section}] section")
-            cls = parser[section]
-            _check_keys(section, cls.keys(), _CLASS_KEYS, path)
-            where = f"{path} [{section}]"
-            if "n_l" not in cls:
-                raise ParameterError(f"{where}: n_l is required")
-            n_l = _typed(cls, "n_l", int, None, where)
-            if "sigma" not in cls:
-                raise ParameterError(f"{where}: sigma is required")
-            sigma = _parse_sigma(cls["sigma"], p, base_dir, where)
-            dim = sigma.shape[0]
-            mean = _parse_mean(cls.get("mean", "zeros"), dim, base_dir, where)
-            class_configs.append(
-                ClassConfig(
-                    label=label,
-                    n_l=n_l,
-                    sigma=sigma,
-                    mean=mean,
-                    generator=cls.get("generator", "gaussian"),
-                    latent=cls.get("latent", None),
-                    nonlinearity=cls.get("nonlinearity", "identity"),
-                )
-            )
-        if n_total is None:
-            n_total = sum(c.n_l for c in class_configs)
-
-    known = {"mixture", "predict", "simulate", "compare", "conclab", "ingest"}
+    typed = {}
     for section in parser.sections():
-        if section in known or section.startswith("class.") or section.startswith(
-            "conclab."
-        ) or section.startswith("ingest.class."):
-            continue
-        raise ParameterError(f"{path}: unknown section [{section}]")
-
-    def level(name, allowed):
-        if not parser.has_section(name):
-            return {}
-        sec = parser[name]
-        _check_keys(name, sec.keys(), allowed, path)
-        return dict(sec)
-
-    predict = level("predict", _PREDICT_KEYS)
-    simulate = level("simulate", _SIMULATE_KEYS)
-    compare = level("compare", _COMPARE_KEYS)
-    conclab = level("conclab", _CONCLAB_KEYS)
-    ingest = level("ingest", _INGEST_KEYS)
-
-    checks = {}
-    for section in parser.sections():
-        if section.startswith("conclab."):
-            name = section.split(".", 1)[1]
-            if name not in CHECKS:
+        kind = next((k for k in ("class", "ingest.class") if section.startswith(k + ".")), section)
+        if kind not in _SECTIONS:
+            if kind.startswith("conclab."):
                 raise ParameterError(
                     f"{path}: unknown check [{section}] (known: {sorted(CHECKS)})"
                 )
-            # The check's keyword-only parameters are the section's keys.
-            params = inspect.signature(CHECKS[name]).parameters.values()
-            casts = {q.name: _cast_of(q.default) for q in params if q.kind is q.KEYWORD_ONLY}
-            sec = parser[section]
-            _check_keys(section, sec.keys(), set(casts), path)
-            checks[name] = {k: _typed(sec, k, casts[k], None, f"{path} [{section}]") for k in sec}
+            raise ParameterError(f"{path}: unknown section [{section}]")
+        typed[section] = _typed(parser[section], _SECTIONS[kind], f"{path} [{section}]")
 
-    if parser.has_section("ingest"):
-        labels = ingest.get("classes", "").split()
-        if not labels:
+    class_configs = []
+    n_total = None
+    if "mixture" in typed:
+        mix = typed["mixture"]
+        p = mix.get("p")
+        n_total = mix.get("n")
+        if not mix.get("classes"):
+            raise ParameterError(f"{path}: [mixture] needs a 'classes' list")
+        for label in mix["classes"]:
+            section = f"class.{label}"
+            where = f"{path} [{section}]"
+            if section not in typed:
+                raise ParameterError(f"{path}: missing [{section}] section")
+            values = dict(typed[section])
+            for key in ("n_l", "sigma"):
+                if key not in values:
+                    raise ParameterError(f"{where}: {key} is required")
+            sigma = _parse_sigma(values.pop("sigma"), p, base_dir, where)
+            mean = _parse_mean(values.pop("mean", "zeros"), sigma.shape[0], base_dir, where)
+            class_configs.append(ClassConfig(label, sigma=sigma, mean=mean, **values))
+        if n_total is None:
+            n_total = sum(c.n_l for c in class_configs)
+
+    ingest = typed.get("ingest", {})
+    if "ingest" in typed:
+        if not ingest.get("classes"):
             raise ParameterError(f"{path}: [ingest] needs a 'classes' list")
         entries = []
-        for label in labels:
+        for label in ingest["classes"]:
             section = f"ingest.class.{label}"
-            if not parser.has_section(section):
+            if section not in typed:
                 raise ParameterError(f"{path}: missing [{section}] section")
-            sec = parser[section]
-            _check_keys(section, sec.keys(), _INGEST_CLASS_KEYS, path)
-            where = f"{path} [{section}]"
-            if "file" not in sec or "n_l" not in sec:
-                raise ParameterError(f"{where}: 'file' and 'n_l' are required")
-            entries.append(
-                {
-                    "label": label,
-                    "file": os.path.join(base_dir, sec["file"]),
-                    "n_l": _typed(sec, "n_l", int, None, where),
-                }
-            )
+            entry = typed[section]
+            if "file" not in entry or "n_l" not in entry:
+                raise ParameterError(f"{path} [{section}]: 'file' and 'n_l' are required")
+            entries.append(entry | {"label": label, "file": os.path.join(base_dir, entry["file"])})
         ingest = {"classes": entries, "delimiter": ingest.get("delimiter", ",")}
 
     return ExperimentConfig(
         path=path,
         class_configs=tuple(class_configs),
         n=n_total,
-        predict=predict,
-        simulate=simulate,
-        compare=compare,
-        conclab=conclab,
-        checks=checks,
+        predict=typed.get("predict", {}),
+        simulate=typed.get("simulate", {}),
+        compare=typed.get("compare", {}),
+        conclab=typed.get("conclab", {}),
+        checks={s[len("conclab."):]: v for s, v in typed.items() if s.startswith("conclab.")},
         ingest=ingest,
     )

@@ -140,10 +140,10 @@ def density_prediction(
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1 or lambdas.size == 0:
         raise ShapeError("lambda grid must be a nonempty 1-d array")
-    if np.any(np.diff(lambdas) <= 0):
-        raise ParameterError("lambda grid must be strictly increasing")
-    if not epsilon > 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    if not np.isfinite(lambdas).all() or np.any(np.diff(lambdas) <= 0):
+        raise ParameterError("lambda grid must be finite and strictly increasing")
+    if not 0 < epsilon < np.inf:
+        raise ParameterError(f"epsilon must be finite and positive, got {epsilon}")
     atom = atom_at_zero(mixture)
     density = np.empty(lambdas.size)
     converged = np.empty(lambdas.size, dtype=bool)

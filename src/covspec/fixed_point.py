@@ -108,6 +108,13 @@ def _check_z(z) -> float:
     return val
 
 
+def _check_stop(tol, max_iter) -> None:
+    if not 0 < tol < np.inf:
+        raise ParameterError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
+
+
 def _coefficients(mixture: Mixture, delta) -> np.ndarray:
     """Per-class scalars w_l / (1 + delta_l) entering Sigma_delta."""
     delta = np.asarray(delta)
@@ -258,10 +265,7 @@ def solve_delta(
     iterate; ``iterations`` counts Newton (or fallback Picard) steps.
     """
     z = _check_z(z)
-    if tol <= 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
+    _check_stop(tol, max_iter)
     delta, residual, iterations, converged, _, m = _solve(
         _trace_backend(mixture), mixture, z, tol, max_iter
     )
@@ -289,12 +293,9 @@ def solve_delta_complex(
     through the ``converged`` flag.
     """
     w = complex(w)
-    if not w.imag > 0:
-        raise ParameterError(f"w must have positive imaginary part, got {w!r}")
-    if tol <= 0:
-        raise ParameterError(f"tol must be positive, got {tol}")
-    if max_iter < 1:
-        raise ParameterError(f"max_iter must be at least 1, got {max_iter}")
+    if not (np.isfinite(w) and w.imag > 0):
+        raise ParameterError(f"w must be finite with positive imaginary part, got {w!r}")
+    _check_stop(tol, max_iter)
     if start is not None:
         start = np.asarray(start, dtype=complex)
         if start.shape != (mixture.k,):

@@ -79,8 +79,8 @@ class ClassModel:
     def __post_init__(self):
         sigma = np.asarray(self.sigma, dtype=float)
         mean = np.asarray(self.mean, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-            raise ShapeError(f"sigma must be square, got shape {sigma.shape}")
+        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
+            raise ShapeError(f"sigma must be square with p >= 1, got shape {sigma.shape}")
         if mean.ndim != 1 or mean.shape[0] != sigma.shape[0]:
             raise ShapeError(
                 f"mean has shape {mean.shape}, expected ({sigma.shape[0]},)"
@@ -89,14 +89,14 @@ class ClassModel:
             raise DataError("class model entries must be finite")
         if not isinstance(self.n_l, (int, np.integer)) or self.n_l < 1:
             raise ParameterError(f"n_l must be a positive integer, got {self.n_l!r}")
-        asym = np.abs(sigma - sigma.T).max() if sigma.size else 0.0
+        asym = np.abs(sigma - sigma.T).max()
         if asym != 0.0:
             raise ShapeError(f"sigma must be exactly symmetric, max|s_ij - s_ji| = {asym:g}")
         # Sigma - mean mean^T is the centered covariance; it must be PSD up to
         # an eigenvalue slack proportional to the scale of sigma.
-        scale = np.abs(sigma).max() if sigma.size else 0.0
+        scale = np.abs(sigma).max()
         centered = sigma - np.outer(mean, mean)
-        lo = float(np.linalg.eigvalsh(centered)[0]) if sigma.size else 0.0
+        lo = float(np.linalg.eigvalsh(centered)[0])
         if lo < -_PSD_SLACK * max(scale, 1e-300):
             raise DataError(
                 f"sigma - mean mean^T has eigenvalue {lo:g}, below the PSD slack"

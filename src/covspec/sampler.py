@@ -85,8 +85,8 @@ class GeneratorSpec:
             raise ParameterError(f"unknown nonlinearity {self.nonlinearity!r}")
         mean = np.asarray(self.mean, dtype=float)
         factor = np.asarray(self.factor, dtype=float)
-        if factor.ndim != 2:
-            raise ShapeError(f"factor must be 2-d, got shape {factor.shape}")
+        if factor.ndim != 2 or factor.shape[0] < 1:
+            raise ShapeError(f"factor must be 2-d with p >= 1 rows, got shape {factor.shape}")
         if mean.ndim != 1 or mean.shape[0] != factor.shape[0]:
             raise ShapeError(
                 f"mean has shape {mean.shape}, factor has {factor.shape[0]} rows"
@@ -345,8 +345,8 @@ def histogram(spectrum, bins, transform: float | None = None) -> Histogram:
         raise ShapeError("spectrum must be a nonempty 1-d array")
     if transform is not None:
         t = float(transform)
-        if t <= 0:
-            raise ParameterError(f"transform exponent must be positive, got {t}")
+        if not 0 < t < np.inf:
+            raise ParameterError(f"transform exponent must be finite and positive, got {t}")
         values = np.maximum(values, 0.0) ** t
     if np.ndim(bins) == 0:
         nbins = int(bins)
@@ -357,6 +357,8 @@ def histogram(spectrum, bins, transform: float | None = None) -> Histogram:
         edges = np.asarray(bins, dtype=float)
         if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
             raise ParameterError("bin edges must be a strictly increasing 1-d array")
+        if not np.isfinite(edges).all():
+            raise ParameterError("bin edges must be finite")
         if values.min() < edges[0] or values.max() > edges[-1]:
             raise ParameterError(
                 f"edges [{edges[0]:g}, {edges[-1]:g}] do not cover the spectrum "

@@ -388,7 +388,42 @@ def test_bad_section_values_exit_two(tmp_path, capsys, command, section, line):
     assert err.startswith("error:")
     if "-1" not in line:
         assert f"{cfg_path} [{section}]: bad value for {line.split()[0]}" in err
-    assert not any(out.iterdir())
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "command, section, line",
+    [
+        ("predict", "predict", "tol = inf"),
+        ("predict", "predict", "tol = nan"),
+        ("predict", "predict", "epsilon = inf"),
+        ("predict", "predict", "lambda_grid = 1 nan"),
+        ("simulate", "simulate", "bins = 0 nan 10"),
+        ("simulate", "simulate", "transform = nan"),
+        ("predict", "mixture", "p = 0"),
+        ("predict", "mixture", "p = -3"),
+        ("predict", "class.a", "sigma = toeplitz a=0.5 power=2.5"),
+        ("predict", "class.a", "sigma = toeplitz a=0.5 scale=abc"),
+        ("conclab", "conclab.quad_form", "p = 0"),
+        # Every section is typed when the config loads, read or not.
+        ("predict", "compare", "trials = ten"),
+        ("predict", "conclab", "checks = bogus"),
+    ],
+)
+def test_bad_config_lines_exit_two_and_write_nothing(tmp_path, capsys, command, section, line):
+    # A configuration error, never exit 0 with a wrong or empty result, nor a
+    # traceback with exit 1, the code that means "did not converge".
+    key = line.split()[0]
+    blocks = textwrap.dedent(BASE + CONCLAB).split("\n\n")
+    for i, block in enumerate(blocks):
+        if block.strip().startswith(f"[{section}]"):
+            kept = [b for b in block.splitlines() if not b.strip().startswith(key + " ")]
+            blocks[i] = "\n".join(kept + [line])
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, "\n\n".join(blocks)),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_compare_rejects_bin_edges_that_miss_the_spectrum(tmp_path, capsys):

@@ -1,12 +1,16 @@
 """INI configuration parsing: recipes, grids, and schema validation."""
 
+import inspect
+import re
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from covspec import DataError, ParameterError, ShapeError, toeplitz_covariance
-from covspec.config import load_config, parse_grid
+from covspec.conc_lab import CHECKS
+from covspec.config import _SECTIONS, load_config, parse_grid
 from covspec.io import write_matrix
 
 
@@ -277,7 +281,7 @@ def test_conclab_checks_parsed_and_validated(tmp_path):
             """,
         )
     )
-    assert cfg.conclab == {"checks": "quad_form", "seed": "3"}
+    assert cfg.conclab == {"checks": ["quad_form"], "seed": 3}
     assert cfg.checks["quad_form"] == {"p": 10, "trials": 500}
     with pytest.raises(ParameterError, match="unknown check"):
         load_config(write_config(tmp_path, MINIMAL, "[conclab.bogus]\nx = 1\n"))
@@ -342,3 +346,30 @@ def test_malformed_ini_is_a_data_error(tmp_path):
 def test_missing_config_file(tmp_path):
     with pytest.raises(DataError, match="cannot read config"):
         load_config(str(tmp_path / "absent.ini"))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_lists_each_sections_keys():
+    # A README paragraph "`[section]` —" names its keys at the head of its
+    # bullets; they must be exactly the keys load_config accepts.
+    listed = {}
+    for para in README.read_text().split("\n\n"):
+        head = re.match(r"`\[([\w.]+?)(\.<label>)?\]` —\n", para)
+        if head:
+            bullets = [line.split(":")[0] for line in para.splitlines() if line.startswith("- ")]
+            listed[head.group(1)] = sorted(re.findall(r"`(\w+)`", " ".join(bullets)))
+    tables = {name: sorted(casts) for name, casts in _SECTIONS.items()}
+    assert listed == {k: v for k, v in tables.items() if not k.startswith("conclab.")}
+
+
+def test_readme_lists_each_checks_keys_and_defaults():
+    rows = re.findall(r"^\| `(\w+)` \| (.+) \|$", README.read_text(), re.M)
+    listed = {name: dict(re.findall(r"`(\w+) = ([^`]+)`", cells)) for name, cells in rows}
+    assert set(listed) == set(CHECKS)
+    for name, check in CHECKS.items():
+        params = inspect.signature(check).parameters.values()
+        defaults = {q.name: q.default for q in params if q.kind is q.KEYWORD_ONLY}
+        casts = _SECTIONS[f"conclab.{name}"]
+        assert {key: casts[key](text) for key, text in listed[name].items()} == defaults

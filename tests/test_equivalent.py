@@ -225,6 +225,13 @@ def test_density_total_mass_with_atom():
     assert 0.97 <= total <= 1.03
 
 
+@pytest.mark.parametrize("lambdas, epsilon", [([1.0, np.nan], 0.01), ([1.0, 2.0], np.inf)])
+def test_density_rejects_non_finite_grid_or_epsilon(lambdas, epsilon):
+    # A NaN grid point has no solution, and epsilon = inf flattens the profile to 0.
+    with pytest.raises(ParameterError, match="finite"):
+        density_prediction(identity_mixture(4, 8), lambdas, epsilon)
+
+
 def test_density_halving_epsilon_is_stable():
     # Cauchy smoothing converges: the epsilon/2 -> epsilon/4 step is no
     # larger than twice the epsilon -> epsilon/2 step on smooth points.

@@ -194,6 +194,21 @@ def test_both_solvers_reject_nonpositive_max_iter(max_iter):
         solve_delta_complex(mix, 1.0 + 0.1j, max_iter=max_iter)
 
 
+@pytest.mark.parametrize("tol", [np.inf, np.nan])
+def test_both_solvers_reject_non_finite_tol(tol):
+    # tol = inf would accept the start point at once, and nan would never stop.
+    mix = identity_mixture(4, 4)
+    with pytest.raises(ParameterError, match="tol must be finite and positive"):
+        solve_delta(mix, 1.0, tol=tol)
+    with pytest.raises(ParameterError, match="tol must be finite and positive"):
+        solve_delta_complex(mix, 1.0 + 0.1j, tol=tol)
+
+
+def test_complex_solver_rejects_non_finite_w():
+    with pytest.raises(ParameterError, match="w must be finite"):
+        solve_delta_complex(identity_mixture(4, 4), complex(np.nan, 1.0))
+
+
 def test_interference_map_rejects_negative_delta():
     mix = identity_mixture(4, 4)
     with pytest.raises(ParameterError):

@@ -69,6 +69,11 @@ def test_class_model_rejects_nonsquare_and_bad_mean():
         ClassModel(sigma=np.eye(3), mean=np.zeros(2), n_l=1)
 
 
+def test_class_model_rejects_zero_dimension():
+    with pytest.raises(ShapeError, match="p >= 1"):
+        ClassModel(np.eye(0), np.zeros(0), 3)
+
+
 def test_class_model_rejects_mean_exceeding_second_moment():
     # sigma - mean mean^T must stay positive semidefinite.
     with pytest.raises(DataError):

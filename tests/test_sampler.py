@@ -92,6 +92,11 @@ def test_generator_spec_shape_checks():
         GeneratorSpec(kind="gaussian", mean=np.zeros(2), factor=np.zeros(2))
 
 
+def test_generator_spec_rejects_zero_dimension():
+    with pytest.raises(ShapeError, match="p >= 1"):
+        GeneratorSpec(kind="gaussian", mean=np.zeros(0), factor=np.zeros((0, 0)))
+
+
 def test_class_model_of_gaussian_is_exact():
     t = toeplitz_covariance(0.3, 5)
     mean = np.full(5, 0.2)
@@ -429,6 +434,12 @@ def test_histogram_validation():
         histogram(np.array([1.0]), 0)
     with pytest.raises(ParameterError):
         histogram(np.array([1.0]), 3, transform=-1.0)
+
+
+@pytest.mark.parametrize("bins, transform", [(np.array([0.0, np.nan, 10.0]), None), (3, np.nan)])
+def test_histogram_rejects_non_finite_edges_or_transform(bins, transform):
+    with pytest.raises(ParameterError, match="finite"):
+        histogram(np.array([1.0, 2.0]), bins, transform)
 
 
 def test_ks_distance_basic_cases():
