@@ -3,10 +3,10 @@
 The package splits into a statistical model layer (:mod:`covspec.model`),
 the self-consistent fixed point behind the deterministic resolvent
 equivalent (:mod:`covspec.fixed_point`, :mod:`covspec.equivalent`), column
-samplers with reproducible per-column streams (:mod:`covspec.sampler`),
-Monte Carlo concentration checks (:mod:`covspec.conc_lab`), majorization
-utilities (:mod:`covspec.majorization`), and a batch CLI
-(:mod:`covspec.cli`).
+samplers with reproducible streams, one per 64-column chunk
+(:mod:`covspec.sampler`), Monte Carlo concentration checks
+(:mod:`covspec.conc_lab`), majorization utilities
+(:mod:`covspec.majorization`), and a batch CLI (:mod:`covspec.cli`).
 """
 
 from .errors import ConvergenceError, DataError, ParameterError, ShapeError

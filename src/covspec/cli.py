@@ -29,7 +29,7 @@ from .errors import ConvergenceError, DataError, ParameterError, ShapeError
 from .fixed_point import solve_delta
 from .io import atomic_write_text, fmt_float, write_csv, write_matrix, read_matrix
 from .model import estimate_class_model
-from .sampler import derive_seed, empirical_spectrum, histogram, sample_mixture
+from .sampler import _trial_samples, derive_seed, empirical_spectrum, histogram, sample_mixture
 
 __all__ = [
     "main",
@@ -195,15 +195,10 @@ def cmd_compare(
     if seed is None:
         seed = section.get("seed", 0)
     trials = section.get("trials", 10)
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
+    samples = _trial_samples(config.generator_pairs(), seed, trials)
     bins = section.get("bins", 20)
     mixture = config.mixture()
-    pairs = config.generator_pairs()
-    spectra = [
-        empirical_spectrum(sample_mixture(pairs, derive_seed(seed, t))).values
-        for t in range(trials)
-    ]
+    spectra = [empirical_spectrum(X).values for X in samples]
     pooled = np.concatenate(spectra)
     _log(verbose, f"compare: {trials} trials sampled")
 

@@ -2,9 +2,11 @@
 
 Every estimator here is a plain seeded experiment: draw from a generator
 spec, form a scalar observable, and compare its fluctuation profile or its
-mean against the deterministic prediction. Tail profiles are pivoted at the
-median, which is interchangeable with the mean for exponentially
-concentrated observables up to a constant-factor change in the head.
+mean against the deterministic prediction. Trial t of an estimator seeded s
+samples with the subseed derive_seed(s, t), and size n of a sweep with
+derive_seed(s, n). Tail profiles are pivoted at the median, which is
+interchangeable with the mean for exponentially concentrated observables up
+to a constant-factor change in the head.
 
 Scaling sweeps express errors against the sample count n on a log-log
 scale; the reported slope is the least-squares exponent estimate, and the
@@ -23,12 +25,11 @@ from .fixed_point import _check_z, solve_delta
 from .model import Mixture, _gram
 from .sampler import (
     GeneratorSpec,
+    _trial_samples,
     class_model_of,
     derive_seed,
-    gaussian_class_spec,
     mixture_of,
     sample_class,
-    sample_mixture,
 )
 
 __all__ = [
@@ -311,8 +312,7 @@ def delta_empirical(pairs, z: float, trials: int, seed: int) -> DeltaEstimate:
     takes q = y^T v / n column by column.
     """
     pairs = [(spec, int(count)) for spec, count in pairs]
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
+    samples = _trial_samples(pairs, seed, trials)
     z = _check_z(z)
     for _, count in pairs:
         if count < 2:
@@ -321,8 +321,7 @@ def delta_empirical(pairs, z: float, trials: int, seed: int) -> DeltaEstimate:
     n = sum(count for _, count in pairs)
     starts = np.concatenate([[0], np.cumsum([c for _, c in pairs])[:-1]]).astype(int)
     draws = np.empty((trials, k))
-    for t in range(trials):
-        X = sample_mixture(pairs, derive_seed(seed, t)).matrix
+    for t, X in enumerate(samples):
         Y = X[:, starts]
         q = (Y * np.linalg.solve(_gram(X, n, z), Y)).sum(axis=0) / n
         draws[t] = q / (1.0 - q)
@@ -354,8 +353,7 @@ def resolvent_mean_error(
     pass one explicitly when the spec moments are not analytic.
     """
     pairs = [(spec, int(count)) for spec, count in pairs]
-    if trials < 1:
-        raise ParameterError(f"trials must be positive, got {trials}")
+    samples = _trial_samples(pairs, seed, trials)
     z = _check_z(z)
     n = sum(count for _, count in pairs)
     if mixture is None:
@@ -366,8 +364,7 @@ def resolvent_mean_error(
             "which the (spec, count) pairs do not match"
         )
     acc = np.zeros((mixture.p, mixture.p))
-    for t in range(trials):
-        X = sample_mixture(pairs, derive_seed(seed, t)).matrix
+    for X in samples:
         acc += np.linalg.inv(_gram(X, n, z))
     mean_q = acc / trials
     mean_q = (mean_q + mean_q.T) / 2.0
@@ -389,17 +386,12 @@ def delta_gap_sweep(
     the trial-averaged estimate would instead bottom out at the Monte Carlo
     noise of the average.
     """
-    sizes = [int(n) for n in sizes]
-    errors = []
-    for n in sizes:
-        p = max(1, round(gamma * n))
-        spec = gaussian_class_spec(np.eye(p))
-        pairs = [(spec, n)]
-        est = delta_empirical(pairs, z, trials, derive_seed(seed, n))
+    def error(pairs, n, subseed):
+        est = delta_empirical(pairs, z, trials, subseed)
         sol = solve_delta(mixture_of(pairs), z)
-        gaps = np.abs(est.draws - sol.delta[None, :]).max(axis=1)
-        errors.append(float(gaps.mean()))
-    return ScalingReport.from_points(sizes, errors)
+        return float(np.abs(est.draws - sol.delta[None, :]).max(axis=1).mean())
+
+    return _size_sweep(sizes, gamma, seed, error)
 
 
 def resolvent_error_sweep(
@@ -415,17 +407,35 @@ def resolvent_error_sweep(
     large n becomes. Linear scaling keeps the noise proportional to the
     n^(-1/2) bias target the sweep is meant to expose.
     """
+    if trials < 1:
+        raise ParameterError(f"trials must be positive, got {trials}")
     sizes = [int(n) for n in sizes]
-    if not sizes or min(sizes) < 1:
-        raise ParameterError(f"sizes must be positive integers, got {sizes}")
-    base = sizes[0]
-    errors = []
-    for n in sizes:
-        p = max(1, round(gamma * n))
-        spec = gaussian_class_spec(np.eye(p))
-        budget = max(10, round(trials * n / base))
-        err = resolvent_mean_error([(spec, n)], z, budget, derive_seed(seed, n))
-        errors.append(err)
+
+    def error(pairs, n, subseed):
+        budget = max(10, round(trials * n / sizes[0]))
+        return resolvent_mean_error(pairs, z, budget, subseed)
+
+    return _size_sweep(sizes, gamma, seed, error)
+
+
+def _isotropic(p) -> GeneratorSpec:
+    """The N(0, I_p) generator that every named check samples."""
+    if p < 1:
+        raise ParameterError(f"p must be a positive integer, got {p}")
+    return GeneratorSpec("gaussian", np.zeros(p), np.eye(p))
+
+
+def _size_sweep(sizes, gamma, seed, error) -> ScalingReport:
+    """Log-log report of ``error(pairs, n, subseed)`` over the sample sizes n, where
+    size n is one N(0, I_p) class of n columns at p = max(1, round(gamma n)) and
+    its subseed is derive_seed(seed, n). Sizes and gamma are checked first."""
+    sizes = [int(n) for n in sizes]
+    if len(sizes) < 2 or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ParameterError(f"sizes must be 2 or more increasing positive integers, got {sizes}")
+    if not 0 < gamma < np.inf:
+        raise ParameterError(f"gamma must be finite and positive, got {gamma}")
+    errors = [error([(_isotropic(max(1, round(gamma * n))), n)], n, derive_seed(seed, n))
+              for n in sizes]
     return ScalingReport.from_points(sizes, errors)
 
 
@@ -451,9 +461,18 @@ def norm_degree(space: str, p: int, n: int | None = None, r: float | None = None
     raise ParameterError(f"unknown space {space!r}")
 
 
+def _rate_records(report, size_name, slope_name, trials, seed, slope_max):
+    """One record per size, then the slope record, which passes at or below slope_max."""
+    records = [
+        (f"{size_name}{int(n)}", err, None, trials, seed, True)
+        for n, err in zip(report.sizes, report.errors)
+    ]
+    records.append((slope_name, report.slope, None, trials, seed, report.slope <= slope_max))
+    return records
+
+
 def _check_tail_fit(seed, *, p=256, samples=100_000, q_lo=1.6, q_hi=2.4):
-    spec = gaussian_class_spec(np.eye(p))
-    draws = sample_class(spec, samples, seed)
+    draws = sample_class(_isotropic(p), samples, seed)
     norms = np.linalg.norm(draws, axis=0)
     dev = np.abs(norms - np.median(norms))
     grid = tail_thresholds(dev)
@@ -467,10 +486,12 @@ def _check_tail_fit(seed, *, p=256, samples=100_000, q_lo=1.6, q_hi=2.4):
 
 
 def _check_diameter(seed, *, p_list=(64, 256, 1024), trials=2000, ratio_max=2.0):
+    if not p_list:
+        raise ParameterError("p_list must name at least one dimension, got none")
+    specs = [_isotropic(p) for p in p_list]
     values = []
     records = []
-    for p in p_list:
-        spec = gaussian_class_spec(np.eye(p))
+    for p, spec in zip(p_list, specs):
         est = observable_diameter(
             spec, ["euclidean-norm"], trials, derive_seed(seed, p)
         )
@@ -482,8 +503,7 @@ def _check_diameter(seed, *, p_list=(64, 256, 1024), trials=2000, ratio_max=2.0)
 
 
 def _check_quad_form(seed, *, p=100, trials=10_000, mean_tol=0.5, std_rtol=0.1):
-    spec = gaussian_class_spec(np.eye(p))
-    check = quadratic_form_check(spec, np.eye(p), trials, seed)
+    check = quadratic_form_check(_isotropic(p), np.eye(p), trials, seed)
     std_target = np.sqrt(2.0 * p)
     return [
         (
@@ -509,35 +529,15 @@ def _check_delta_gap(
     seed, *, sizes=(100, 200, 400, 800), gamma=0.5, z=1.0, trials=200, slope_max=-0.35
 ):
     report = delta_gap_sweep(sizes, gamma, z, trials, seed)
-    records = [
-        (f"delta_gap_n{int(n)}", err, None, trials, seed, True)
-        for n, err in zip(report.sizes, report.errors)
-    ]
-    records.append(
-        ("delta_gap_slope", report.slope, None, trials, seed, report.slope <= slope_max)
-    )
-    return records
+    return _rate_records(report, "delta_gap_n", "delta_gap_slope", trials, seed, slope_max)
 
 
 def _check_resolvent_error(
     seed, *, sizes=(100, 200, 400, 800), gamma=0.5, z=1.0, trials=100, slope_max=-0.35
 ):
     report = resolvent_error_sweep(sizes, gamma, z, trials, seed)
-    records = [
-        (f"resolvent_err_n{int(n)}", err, None, trials, seed, True)
-        for n, err in zip(report.sizes, report.errors)
-    ]
+    records = _rate_records(report, "resolvent_err_n", "resolvent_slope", trials, seed, slope_max)
     decreasing = bool(np.all(np.diff(report.errors) < 0))
-    records.append(
-        (
-            "resolvent_slope",
-            report.slope,
-            None,
-            trials,
-            seed,
-            report.slope <= slope_max,
-        )
-    )
     records.append(
         ("resolvent_monotone", float(decreasing), None, trials, seed, decreasing)
     )

@@ -28,7 +28,7 @@ from .fixed_point import (
     _coefficients,
     _trace_backend,
 )
-from .model import Mixture, _combine, _gram
+from .model import Mixture, _combine, _data_matrix, _gram
 
 __all__ = [
     "SpectralPrediction",
@@ -166,13 +166,8 @@ def density_prediction(
 def empirical_resolvent(X: np.ndarray, z: float) -> np.ndarray:
     """(X X^T/n + z I)^-1 for a data matrix X of shape (p, n)."""
     z = _check_z(z)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ShapeError(f"X must be 2-d, got shape {X.shape}")
-    n = X.shape[1]
-    if n == 0:
-        raise ShapeError("X must have at least one column")
-    Q = np.linalg.inv(_gram(X, n, z))
+    X = _data_matrix(X)
+    Q = np.linalg.inv(_gram(X, X.shape[1], z))
     return (Q + Q.T) / 2.0
 
 
@@ -183,9 +178,7 @@ def resolvent_bounds(X: np.ndarray, z: float, Q: np.ndarray | None = None) -> di
     are bounded by 1/z, 1 and 1/sqrt(z) respectively.
     """
     z = _check_z(z)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] == 0:
-        raise ShapeError(f"X must be 2-d with at least one column, got {X.shape}")
+    X = _data_matrix(X)
     p, n = X.shape
     if Q is None:
         Q = empirical_resolvent(X, z)
@@ -201,9 +194,5 @@ def resolvent_bounds(X: np.ndarray, z: float, Q: np.ndarray | None = None) -> di
 
 def empirical_stieltjes(X: np.ndarray, z: float) -> float:
     """(1/p) tr (X X^T/n + z I)^-1."""
-    z = _check_z(z)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] == 0:
-        raise ShapeError(f"X must be 2-d with at least one column, got {X.shape}")
-    p, n = X.shape
-    return float(np.trace(np.linalg.inv(_gram(X, n, z))) / p)
+    Q = empirical_resolvent(X, z)
+    return float(np.trace(Q) / Q.shape[0])

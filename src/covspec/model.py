@@ -41,6 +41,16 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _data_matrix(X) -> np.ndarray:
+    """X as a 2-d float array with p, n >= 1 and finite entries."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or 0 in X.shape:
+        raise ShapeError(f"X must be 2-d with p, n >= 1, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise DataError("data matrix contains non-finite entries")
+    return X
+
+
 def _gram(X: np.ndarray, n: int, shift: float = 0.0) -> np.ndarray:
     """Exactly symmetric X X^T / n + shift I."""
     gram = X @ X.T / n
@@ -267,12 +277,8 @@ def estimate_class_model(samples: np.ndarray, n_l: int) -> ClassModel:
     is exactly symmetric; the mean is the column average.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.ndim != 2:
-        raise ShapeError(f"samples must be 2-d, got shape {samples.shape}")
-    p, m = samples.shape
-    if m == 0:
+    if samples.ndim == 2 and samples.shape[1] == 0:
         raise DataError("cannot estimate a class model from zero samples")
-    if not np.isfinite(samples).all():
-        raise DataError("samples contain non-finite entries")
+    samples = _data_matrix(samples)
     mean = samples.mean(axis=1)
-    return ClassModel(sigma=_gram(samples, m), mean=mean, n_l=n_l)
+    return ClassModel(sigma=_gram(samples, samples.shape[1]), mean=mean, n_l=n_l)

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .model import ClassModel, Mixture, _freeze, _gram, build_mixture
+from .model import ClassModel, Mixture, _data_matrix, _freeze, _gram, build_mixture
 
 __all__ = [
     "GeneratorSpec",
@@ -307,6 +307,14 @@ def sample_mixture(pairs, seed: int) -> MixtureSample:
     return MixtureSample(matrix=matrix, labels=labels, seed=int(seed))
 
 
+def _trial_samples(pairs, seed: int, trials: int):
+    """Data matrices of trials 0 .. trials-1, drawn one at a time as the caller
+    iterates; ``trials`` is checked at the call, before anything is sampled."""
+    if trials < 1:
+        raise ParameterError(f"trials must be positive, got {trials}")
+    return (sample_mixture(pairs, derive_seed(seed, t)).matrix for t in range(trials))
+
+
 def empirical_spectrum(X, seed: int | None = None) -> EmpiricalSpectrum:
     """Ascending spectrum of the sample covariance X X^T / n.
 
@@ -317,11 +325,7 @@ def empirical_spectrum(X, seed: int | None = None) -> EmpiricalSpectrum:
         if seed is None:
             seed = X.seed
         X = X.matrix
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] == 0:
-        raise ShapeError(f"X must be 2-d with at least one column, got {X.shape}")
-    if not np.isfinite(X).all():
-        raise DataError("data matrix contains non-finite entries")
+    X = _data_matrix(X)
     p, n = X.shape
     vals = np.linalg.eigvalsh(_gram(X, n))
     top = max(vals[-1], 0.0)

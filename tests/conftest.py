@@ -40,6 +40,11 @@ def identity_mixture(p: int, n: int):
     )
 
 
+def no_sampling(*args, **kwargs):
+    """Stand-in for a sampler, patched in to show that arguments are checked first."""
+    raise AssertionError("sampled before the arguments were checked")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -7,6 +7,9 @@ import textwrap
 import numpy as np
 import pytest
 
+from conftest import no_sampling
+import covspec.conc_lab
+import covspec.sampler
 from covspec import (
     density_prediction,
     estimate_class_model,
@@ -423,6 +426,38 @@ def test_bad_config_lines_exit_two_and_write_nothing(tmp_path, capsys, command, 
     assert main([command, "--config", write_config(tmp_path, "\n\n".join(blocks)),
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "check, line, message",
+    [
+        ("quad_form", "p = -3", "got -3"),
+        ("tail_fit", "p = -2", "got -2"),
+        ("diameter", "p_list = -4 8", "got -4"),
+        ("diameter", "p_list =", "p_list must name at least one dimension"),
+        ("resolvent_error", "gamma = nan", "gamma must be finite and positive, got nan"),
+        ("delta_gap", "gamma = inf", "gamma must be finite and positive, got inf"),
+        ("delta_gap", "sizes = -10 20", "sizes must be 2 or more increasing positive"),
+        ("resolvent_error", "gamma = -1", "gamma must be finite and positive, got -1"),
+        ("resolvent_error", "trials = 0", "trials must be positive, got 0"),
+    ],
+)
+def test_bad_conclab_arguments_exit_two_before_sampling(
+    tmp_path, capsys, monkeypatch, check, line, message
+):
+    # Out-of-range check arguments are configuration errors caught before
+    # anything is sampled, never a traceback or a run on a clamped value.
+    monkeypatch.setattr(covspec.sampler, "sample_class", no_sampling)
+    monkeypatch.setattr(covspec.conc_lab, "sample_class", no_sampling)
+    cfg_path = write_config(
+        tmp_path, BASE, f"[conclab]\nchecks = {check}\n\n[conclab.{check}]\n{line}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["conclab", "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert message in err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-import covspec.conc_lab
+from conftest import no_sampling
+import covspec.sampler
 from covspec import (
     ClassModel,
     DataError,
@@ -15,18 +16,25 @@ from covspec import (
     bounded_class_spec,
     build_mixture,
     delta_empirical,
+    delta_gap_sweep,
     fit_exponential_tail,
     gaussian_class_spec,
     norm_degree,
     observable_diameter,
     quadratic_form_check,
+    resolvent_error_sweep,
     resolvent_mean_error,
     solve_delta,
     tail_profile,
     tail_thresholds,
     toeplitz_covariance,
 )
-from covspec.conc_lab import LIPSCHITZ_FUNCTIONALS
+from covspec.conc_lab import (
+    LIPSCHITZ_FUNCTIONALS,
+    _check_delta_gap,
+    _check_resolvent_error,
+    _isotropic,
+)
 from covspec.sampler import derive_seed, mixture_of, sample_class, sample_mixture
 
 
@@ -320,13 +328,9 @@ def test_delta_empirical_matches_the_leave_one_out_resolvent(p, z):
     np.testing.assert_allclose(est.draws, want, rtol=1e-10, atol=0)
 
 
-def _no_sampling(*args):
-    raise AssertionError("sampled before the arguments were checked")
-
-
 @pytest.mark.parametrize("z", [-1.0, 0.0, np.nan, np.inf])
 def test_conc_lab_checks_z_before_sampling(monkeypatch, z):
-    monkeypatch.setattr(covspec.conc_lab, "sample_mixture", _no_sampling)
+    monkeypatch.setattr(covspec.sampler, "sample_mixture", no_sampling)
     pairs = [(gaussian_class_spec(np.eye(3)), 6)]
     with pytest.raises(ParameterError):
         delta_empirical(pairs, z=z, trials=2, seed=0)
@@ -338,11 +342,67 @@ def test_conc_lab_checks_z_before_sampling(monkeypatch, z):
     "p, n", [(4, 20), (3, 40)], ids=["p differs", "n differs"]
 )
 def test_resolvent_mean_error_rejects_a_mismatched_mixture(monkeypatch, p, n):
-    monkeypatch.setattr(covspec.conc_lab, "sample_mixture", _no_sampling)
+    monkeypatch.setattr(covspec.sampler, "sample_mixture", no_sampling)
     pairs = [(gaussian_class_spec(np.eye(3)), 20)]
     mix = build_mixture([ClassModel(sigma=np.eye(p), mean=np.zeros(p), n_l=n)], n)
     with pytest.raises(ShapeError):
         resolvent_mean_error(pairs, z=1.0, trials=2, seed=0, mixture=mix)
+
+
+@pytest.mark.parametrize("p", [1, 64, 256, 1024])
+def test_isotropic_samples_match_the_identity_gaussian_spec(p):
+    want = sample_class(gaussian_class_spec(np.eye(p)), 70, 3, column_offset=5)
+    got = sample_class(_isotropic(p), 70, 3, column_offset=5)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [0, -3])
+def test_isotropic_rejects_nonpositive_p(p):
+    with pytest.raises(ParameterError):
+        _isotropic(p)
+
+
+@pytest.mark.parametrize("sweep", [delta_gap_sweep, resolvent_error_sweep])
+@pytest.mark.parametrize(
+    "sizes, gamma",
+    [
+        ((20,), 0.5),
+        ((40, 20), 0.5),
+        ((20, 20), 0.5),
+        ((0, 20), 0.5),
+        ((20, 40), 0.0),
+        ((20, 40), -1.0),
+        ((20, 40), np.nan),
+        ((20, 40), np.inf),
+    ],
+)
+def test_size_sweeps_check_sizes_and_gamma_before_sampling(monkeypatch, sweep, sizes, gamma):
+    monkeypatch.setattr(covspec.sampler, "sample_mixture", no_sampling)
+    with pytest.raises(ParameterError):
+        sweep(sizes, gamma, 1.0, 3, 0)
+
+
+@pytest.mark.parametrize(
+    "check, names",
+    [
+        (_check_delta_gap, ["delta_gap_n20", "delta_gap_n40", "delta_gap_slope"]),
+        (
+            _check_resolvent_error,
+            ["resolvent_err_n20", "resolvent_err_n40", "resolvent_slope", "resolvent_monotone"],
+        ),
+    ],
+)
+def test_rate_check_records(check, names):
+    for slope_max, passed in ((np.inf, True), (-np.inf, False)):
+        records = check(9, sizes=(20, 40), trials=3, slope_max=slope_max)
+        assert [rec[0] for rec in records] == names
+        assert all(rec[3:5] == (3, 9) for rec in records)
+        assert all(rec[5] for rec in records[:2])
+        errors = [rec[1] for rec in records[:2]]
+        assert min(errors) > 0
+        slope = records[2]
+        assert slope[1] == ScalingReport.from_points([20, 40], errors).slope
+        assert slope[5] is passed
 
 
 def test_resolvent_mean_error_small_case():

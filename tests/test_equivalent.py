@@ -9,6 +9,7 @@ from covspec.fixed_point import _DenseTraces, _SpectralTraces, _solve, _trace_ba
 from covspec import (
     ClassModel,
     ConvergenceError,
+    DataError,
     ParameterError,
     ShapeError,
     atom_at_zero,
@@ -16,6 +17,7 @@ from covspec import (
     density_prediction,
     deterministic_resolvent,
     empirical_resolvent,
+    empirical_spectrum,
     empirical_stieltjes,
     sigma_delta,
     solve_delta,
@@ -296,6 +298,32 @@ def test_resolvent_bounds_hold_on_random_inputs(rng):
 def test_resolvent_bounds_checks_inputs_when_q_is_passed(x, z, q, error):
     with pytest.raises(error):
         resolvent_bounds(x, z, q)
+
+
+# Every function of a data matrix X checks it the same way: 2-d, p and n at
+# least 1, finite entries.
+DATA_MATRIX_FUNCTIONS = {
+    "empirical_spectrum": empirical_spectrum,
+    "empirical_resolvent": lambda x: empirical_resolvent(x, 1.0),
+    "empirical_stieltjes": lambda x: empirical_stieltjes(x, 1.0),
+    "resolvent_bounds": lambda x: resolvent_bounds(x, 1.0),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(DATA_MATRIX_FUNCTIONS))
+def test_data_matrix_functions_reject_non_finite_entries(name, bad):
+    x = np.ones((3, 4))
+    x[1, 2] = bad
+    with pytest.raises(DataError):
+        DATA_MATRIX_FUNCTIONS[name](x)
+
+
+@pytest.mark.parametrize("shape", [(0, 4), (3, 0), (0, 0), (3,)])
+@pytest.mark.parametrize("name", sorted(DATA_MATRIX_FUNCTIONS))
+def test_data_matrix_functions_reject_empty_or_1d_data(name, shape):
+    with pytest.raises(ShapeError):
+        DATA_MATRIX_FUNCTIONS[name](np.zeros(shape))
 
 
 def test_empirical_stieltjes_matches_eigenvalues(rng):

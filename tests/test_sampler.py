@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import no_sampling
+import covspec.sampler
 from covspec import (
     DataError,
     GeneratorSpec,
@@ -19,7 +21,13 @@ from covspec import (
     spectral_ks_distance,
     toeplitz_covariance,
 )
-from covspec.sampler import LATENTS, _latent_block, derive_seed, principal_sqrt
+from covspec.sampler import (
+    LATENTS,
+    _latent_block,
+    _trial_samples,
+    derive_seed,
+    principal_sqrt,
+)
 
 
 def test_derive_seed_is_stable_and_distinct():
@@ -338,6 +346,33 @@ def test_sample_mixture_rejects_dimension_mismatch():
             [(gaussian_class_spec(np.eye(2)), 2), (gaussian_class_spec(np.eye(3)), 2)],
             seed=0,
         )
+
+
+@pytest.mark.parametrize("trials", [0, -2])
+def test_trial_samples_checks_trials_at_the_call(monkeypatch, trials):
+    # Raised by the call itself, not on the first step of the iteration.
+    monkeypatch.setattr(covspec.sampler, "sample_mixture", no_sampling)
+    with pytest.raises(ParameterError):
+        _trial_samples([(gaussian_class_spec(np.eye(2)), 3)], 0, trials)
+
+
+def test_trial_samples_are_lazy_with_one_seed_per_trial(monkeypatch):
+    pairs = [(gaussian_class_spec(np.eye(3)), 4), (bounded_class_spec(2.0 * np.eye(3)), 70)]
+    seeds = []
+
+    def recording(pairs, seed):
+        seeds.append(seed)
+        return sample_mixture(pairs, seed)
+
+    monkeypatch.setattr(covspec.sampler, "sample_mixture", recording)
+    stream = _trial_samples(pairs, 7, 3)
+    assert seeds == []
+    first = next(stream)
+    assert seeds == [derive_seed(7, 0)]
+    got = [first] + list(stream)
+    assert seeds == [derive_seed(7, t) for t in range(3)]
+    for t, matrix in enumerate(got):
+        assert matrix.tobytes() == sample_mixture(pairs, derive_seed(7, t)).matrix.tobytes()
 
 
 def test_gaussian_sample_moments():
