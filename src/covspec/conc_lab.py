@@ -472,8 +472,11 @@ def _rate_records(report, size_name, slope_name, trials, seed, slope_max):
 
 
 def _check_tail_fit(seed, *, p=256, samples=100_000, q_lo=1.6, q_hi=2.4):
-    draws = sample_class(_isotropic(p), samples, seed)
-    norms = np.linalg.norm(draws, axis=0)
+    # Blocks of whole 64-column sampler chunks keep one draw's norms; samples < 1 fails there.
+    spec, block = _isotropic(p), 4096
+    norms = np.concatenate([np.linalg.norm(sample_class(
+        spec, min(block, samples - start), seed, column_offset=start), axis=0)
+        for start in range(0, max(samples, 1), block)])
     dev = np.abs(norms - np.median(norms))
     grid = tail_thresholds(dev)
     profile = tail_profile(norms, grid)

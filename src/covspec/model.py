@@ -103,14 +103,14 @@ class ClassModel:
         if asym != 0.0:
             raise ShapeError(f"sigma must be exactly symmetric, max|s_ij - s_ji| = {asym:g}")
         # Sigma - mean mean^T is the centered covariance; it must be PSD up to
-        # an eigenvalue slack proportional to the scale of sigma.
-        scale = np.abs(sigma).max()
-        centered = sigma - np.outer(mean, mean)
-        lo = float(np.linalg.eigvalsh(centered)[0])
-        if lo < -_PSD_SLACK * max(scale, 1e-300):
-            raise DataError(
-                f"sigma - mean mean^T has eigenvalue {lo:g}, below the PSD slack"
-            )
+        # an eigenvalue slack proportional to the scale of sigma. With a zero
+        # mean it is sigma itself, whose eigenvalues are then kept.
+        centered = sigma - np.outer(mean, mean) if mean.any() else sigma
+        w = np.linalg.eigvalsh(centered)
+        if w[0] < -_PSD_SLACK * max(np.abs(sigma).max(), 1e-300):
+            raise DataError(f"sigma - mean mean^T has eigenvalue {w[0]:g}, below the PSD slack")
+        if centered is sigma:
+            object.__setattr__(self, "eigenvalues", _freeze(w))
         object.__setattr__(self, "sigma", _freeze(sigma))
         object.__setattr__(self, "mean", _freeze(mean))
         object.__setattr__(self, "n_l", int(self.n_l))
@@ -210,9 +210,9 @@ class Mixture:
 
         Computed lazily once and cached. A candidate basis is taken from a
         generic positive combination of the class matrices and certified by
-        checking that it actually diagonalizes every Sigma_l; certification
-        failure (non-commuting classes, or a degenerate combination) simply
-        disables the fast path.
+        checking that it actually diagonalizes every Sigma_l. That check is the
+        commutation test (a commutator probe only rejects early); its failure
+        (non-commuting classes, or a degenerate combination) disables the fast path.
         """
         return self._spectral
 
@@ -222,16 +222,22 @@ class Mixture:
 
 
 def _joint_eigenbasis(sigmas) -> SpectralCache | None:
+    """Joint eigenbasis of ``sigmas`` certified by diagonalizing each, or None.
+
+    Early reject: |C x|_inf <= max|C_ij| |x|_1, so probing each commutator C on
+    one fixed x at O(p^2) cost fails only when max|C_ij| > 1e-10 s_a s_b p.
+    """
     p = sigmas[0].shape[0]
     k = len(sigmas)
     if k == 1:
         w, v = np.linalg.eigh(sigmas[0])
         return SpectralCache(basis=v, class_eigs=w[None, :].copy())
     scales = [max(np.abs(s).max(), 1e-300) for s in sigmas]
+    x = np.cos(np.arange(p))
     for a in range(k):
         for b in range(a + 1, k):
-            comm = sigmas[a] @ sigmas[b] - sigmas[b] @ sigmas[a]
-            if np.abs(comm).max() > 1e-10 * scales[a] * scales[b] * p:
+            gap = sigmas[a] @ (sigmas[b] @ x) - sigmas[b] @ (sigmas[a] @ x)
+            if np.abs(gap).max() > 1e-10 * scales[a] * scales[b] * p * np.abs(x).sum():
                 return None
     # Generic combination: irrational-looking weights break ties between
     # classes so the combination is simple whenever one exists.

@@ -1,5 +1,7 @@
 """Monte Carlo concentration checks against closed-form targets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,7 @@ from covspec.conc_lab import (
     LIPSCHITZ_FUNCTIONALS,
     _check_delta_gap,
     _check_resolvent_error,
+    _check_tail_fit,
     _isotropic,
 )
 from covspec.sampler import derive_seed, mixture_of, sample_class, sample_mixture
@@ -470,3 +473,36 @@ def test_sample_class_seed_validation():
         sample_class(spec, 0, seed=1)
     with pytest.raises(ParameterError):
         sample_class(spec, 2, seed=2**64)
+
+
+def _tail_fit_from_one_draw(seed, p, samples):
+    """Reference: the tail-fit records computed from one full (p, samples) draw."""
+    norms = np.linalg.norm(sample_class(_isotropic(p), samples, seed), axis=0)
+    fit = fit_exponential_tail(
+        tail_profile(norms, tail_thresholds(np.abs(norms - np.median(norms))))
+    )
+    return [fit.exponent_q, fit.tail_sigma, fit.r2]
+
+
+@pytest.mark.parametrize("samples", [4095, 4096, 4097, 8193, 9000])
+def test_tail_fit_in_blocks_matches_one_full_draw(samples):
+    records = _check_tail_fit(7, p=8, samples=samples)
+    assert [r[1] for r in records] == _tail_fit_from_one_draw(7, 8, samples)
+    assert all(r[3] == samples for r in records)
+
+
+def test_tail_fit_memory_stays_below_one_full_draw():
+    p, samples = 256, 40_000
+    tracemalloc.start()
+    try:
+        _check_tail_fit(1, p=p, samples=samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * p * samples * 8
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_tail_fit_rejects_nonpositive_samples(samples):
+    with pytest.raises(ParameterError, match="count must be at least 1"):
+        _check_tail_fit(1, p=4, samples=samples)

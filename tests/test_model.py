@@ -14,6 +14,9 @@ from covspec import (
     estimate_class_model,
     toeplitz_covariance,
 )
+from covspec.cli import cmd_predict
+from covspec.config import load_config
+from covspec.model import _joint_eigenbasis
 
 
 def test_toeplitz_entries():
@@ -198,3 +201,193 @@ def test_estimate_class_model_rejects_bad_input():
     bad[0, 0] = np.inf
     with pytest.raises(DataError):
         estimate_class_model(bad, n_l=1)
+
+
+def _full_commutator_rejects(sigmas):
+    """Reference: the full p x p commutator test that the probe replaced."""
+    p = sigmas[0].shape[0]
+    scales = [max(np.abs(s).max(), 1e-300) for s in sigmas]
+    return any(
+        np.abs(sigmas[a] @ sigmas[b] - sigmas[b] @ sigmas[a]).max()
+        > 1e-10 * scales[a] * scales[b] * p
+        for a in range(len(sigmas))
+        for b in range(a + 1, len(sigmas))
+    )
+
+
+def _reference_is_spectral(sigmas):
+    """Reference choice: full commutator test, then certification of the basis."""
+    if _full_commutator_rejects(sigmas):
+        return False
+    scales = [max(np.abs(s).max(), 1e-300) for s in sigmas]
+    combo = sum((1.0 + (j + 1) / np.pi) / scales[j] * s for j, s in enumerate(sigmas))
+    v = np.linalg.eigh(combo)[1]
+    for s, scale in zip(sigmas, scales):
+        m = v.T @ s @ v
+        if np.abs(m - np.diag(np.diagonal(m))).max() > 1e-10 * scale:
+            return False
+    return True
+
+
+class _Counted:
+    """Wraps a numpy.linalg routine and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    wrapped = {name: _Counted(getattr(np.linalg, name)) for name in ("eigvalsh", "eigh")}
+    for name, fn in wrapped.items():
+        monkeypatch.setattr(np.linalg, name, fn)
+    return wrapped
+
+
+def _symmetric(m):
+    return (m + m.T) / 2.0
+
+
+def _rotated_diagonals(p, seed):
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((p, p)))
+    return [_symmetric((q * d) @ q.T) for d in (np.arange(1.0, p + 1), np.cos(np.arange(p)) + 2)]
+
+
+def _random_pair(p, seed):
+    rng = np.random.default_rng(seed)
+    return [_symmetric(g @ g.T / p) for g in rng.standard_normal((2, p, p))]
+
+
+_T = toeplitz_covariance(0.1, 500)
+_PROBE_FAMILIES = {
+    "toeplitz powers a=0.1": [10 * _symmetric(_T @ _T), 10 * _T],
+    "toeplitz cube a=0.1": [_T, _symmetric(_T @ _T @ _T)],
+    "identity and toeplitz": [np.eye(500), 10 * _T],
+    "identity and toeplitz a=0.5": [np.eye(60), toeplitz_covariance(0.5, 60)],
+    "rotated diagonals": _rotated_diagonals(80, 1),
+    "three classes": [np.eye(500), 10 * _T, 10 * _symmetric(_T @ _T)],
+    **{f"{s:g} I": [s * np.eye(40), toeplitz_covariance(0.3, 40)]
+       for s in (1e-8, 1e-4, 1.0, 1e4, 1e8)},
+    **{f"{s:g} I and 2 I": [s * np.eye(30), 2 * np.eye(30)] for s in (1e-8, 1e8)},
+    **{f"random pair {seed}": _random_pair(50, seed) for seed in range(4)},
+    "random rotated diagonal": [np.diag(np.arange(1.0, 51)), _random_pair(50, 9)[0]],
+}
+
+
+def test_toeplitz_a01_has_a_subnormal_tail():
+    tiny = _T[(_T > 0) & (_T < np.finfo(float).tiny)]
+    assert tiny.size > 0
+
+
+@pytest.mark.parametrize("family", list(_PROBE_FAMILIES))
+def test_commutator_probe_rejects_only_what_the_full_test_rejects(family, counted):
+    sigmas = _PROBE_FAMILIES[family]
+    cache = _joint_eigenbasis(sigmas)
+    probe_rejected = cache is None and counted["eigh"].calls == 0
+    if probe_rejected:
+        assert _full_commutator_rejects(sigmas)
+    assert (cache is not None) == _reference_is_spectral(sigmas)
+    expect_spectral = not family.startswith("random")
+    assert (cache is not None) == expect_spectral
+
+
+def _predict_config(tmp_path, text, name):
+    path = tmp_path / name
+    path.write_text(text)
+    return load_config(str(path))
+
+
+README_MIXTURE = """
+[mixture]
+p = 500
+n = 500
+classes = bulk spike
+
+[class.bulk]
+n_l = 450
+sigma = toeplitz a=0.1 scale=10 power=2
+
+[class.spike]
+n_l = 50
+sigma = toeplitz a=0.1 scale=10
+"""
+
+THREE_CLASS_MIXTURE = """
+[mixture]
+p = 600
+n = 300
+classes = iso near far
+
+[class.iso]
+n_l = 100
+sigma = identity
+
+[class.near]
+n_l = 100
+sigma = toeplitz a=0.1 scale=10
+
+[class.far]
+n_l = 100
+sigma = toeplitz a=0.1 scale=10 power=2
+"""
+
+
+@pytest.mark.parametrize("text", [README_MIXTURE, THREE_CLASS_MIXTURE])
+def test_example_mixtures_take_the_spectral_path(tmp_path, text):
+    assert _predict_config(tmp_path, text, "exp.ini").mixture().spectral() is not None
+
+
+def test_estimated_classes_exit_before_the_eigh(rng, counted):
+    p = 30
+    classes = [estimate_class_model(rng.standard_normal((p, 60)), n_l=60) for _ in range(2)]
+    assert _full_commutator_rejects([c.sigma for c in classes])
+    assert build_mixture(classes, 120).spectral() is None
+    assert counted["eigh"].calls == 0
+
+
+def test_predict_decomposes_each_zero_mean_class_once(tmp_path, counted):
+    config = _predict_config(tmp_path, """
+[mixture]
+p = 40
+n = 60
+classes = a b
+
+[class.a]
+n_l = 30
+sigma = toeplitz a=0.3 scale=2
+
+[class.b]
+n_l = 30
+sigma = toeplitz a=0.3 power=2
+
+[predict]
+z_grid = 0.5 2
+epsilon = 0.05
+""", "two.ini")
+    (tmp_path / "out").mkdir()
+    assert cmd_predict(config, str(tmp_path / "out")) == 0
+    assert counted["eigvalsh"].calls == 2
+    assert counted["eigh"].calls == 1
+
+
+def test_zero_mean_eigenvalues_are_those_of_sigma():
+    sigma = _symmetric(toeplitz_covariance(0.7, 30) @ toeplitz_covariance(0.2, 30))
+    model = ClassModel(sigma=sigma, mean=np.zeros(30), n_l=3)
+    np.testing.assert_array_equal(model.eigenvalues, np.linalg.eigvalsh(model.sigma))
+
+
+def test_nonzero_mean_eigenvalues_are_those_of_sigma(counted):
+    mean = np.full(4, 0.5)
+    model = ClassModel(sigma=np.eye(4) + np.outer(mean, mean), mean=mean, n_l=3)
+    np.testing.assert_array_equal(model.eigenvalues, np.linalg.eigvalsh(model.sigma))
+    assert counted["eigvalsh"].calls == 3  # check, eigenvalues, reference
+
+
+def test_nonzero_mean_psd_check_uses_the_centered_matrix():
+    # sigma is PSD but sigma - mean mean^T is not.
+    with pytest.raises(DataError, match="sigma - mean mean"):
+        ClassModel(sigma=np.diag([1.0, 4.0]), mean=np.array([1.5, 0.0]), n_l=1)
