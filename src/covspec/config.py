@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conc_lab import CHECKS
-from .errors import DataError, ParameterError
+from .errors import DataError, ParameterError, ShapeError
 from .io import read_matrix
 from .model import ClassModel, Mixture, build_mixture, toeplitz_covariance
 from .sampler import GeneratorSpec, _class_spec
@@ -110,6 +110,10 @@ def _parse_sigma(value: str, p: int | None, base_dir: str, where: str) -> np.nda
         if len(args) != 1:
             raise ParameterError(f"{where}: sigma file form is 'file PATH'")
         out = read_matrix(os.path.join(base_dir, args[0]))
+        # Recipes are symmetric by construction; a file must be so exactly,
+        # as ClassModel requires, so that no command symmetrizes it silently.
+        if out.shape[0] == out.shape[1] and np.abs(out - out.T).max() > 0:
+            raise ShapeError(f"{where}: sigma file {args[0]} is not exactly symmetric")
     elif kind not in ("identity", "zero", "toeplitz"):
         raise ParameterError(f"{where}: unknown sigma recipe {kind!r}")
     elif p is None:

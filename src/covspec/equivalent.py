@@ -48,11 +48,13 @@ __all__ = [
 class SpectralPrediction:
     """Predicted spectral density on a grid of real locations.
 
-    ``density[j]`` approximates the continuous part of the limiting spectral
-    density at ``lambdas[j]``; ``atom_at_zero`` is the predicted point mass
-    at zero from rank bookkeeping. Grid points whose complex solve did not
-    reach tolerance are marked in ``converged`` and carry their last iterate
-    value rather than NaN.
+    ``density[j]`` is Im m(lambdas[j] + i epsilon) / pi, the limiting
+    spectral density smoothed at scale epsilon. It is not the continuous
+    part alone: when ``atom_at_zero`` (the predicted point mass at zero from
+    rank bookkeeping) is a > 0, it includes the atom's Poisson kernel
+    a epsilon / (pi (lambda^2 + epsilon^2)). Grid points whose complex solve
+    did not reach tolerance are marked in ``converged`` and carry their last
+    iterate value rather than NaN.
     """
 
     lambdas: np.ndarray
@@ -128,11 +130,12 @@ def density_prediction(
     tol: float = 1e-10,
     max_iter: int = 2_000,
 ) -> SpectralPrediction:
-    """Continuous spectral density profile on a real grid.
+    """Smoothed spectral density profile on a real grid.
 
     Each grid point solves the complex system at w = lambda + i epsilon and
     reads the density off Im m(w) / pi, with m(w) the solution's
-    ``stieltjes`` value. The grid is walked from right to
+    ``stieltjes`` value. That value includes the kernel of the zero atom
+    (see :class:`SpectralPrediction`). The grid is walked from right to
     left, each point starting from its right neighbour's solution
     (continuation along the grid); the rightmost point, and any point after
     one that did not converge, starts cold.

@@ -165,9 +165,9 @@ class _DenseTraces:
 
 def _trace_backend(mixture: Mixture):
     """Joint-eigenbasis traces when the classes commute, dense ones otherwise."""
-    cache = mixture.spectral()
-    if cache is not None:
-        return _SpectralTraces(cache.class_eigs)
+    eigs = mixture.spectral()
+    if eigs is not None:
+        return _SpectralTraces(eigs)
     return _DenseTraces(mixture)
 
 

@@ -24,14 +24,14 @@ from .errors import DataError, ParameterError, ShapeError
 __all__ = [
     "ClassModel",
     "Mixture",
-    "SpectralCache",
     "toeplitz_covariance",
     "build_mixture",
     "estimate_class_model",
 ]
 
-# Relative eigenvalue slack allowed when certifying positive semidefiniteness.
-_PSD_SLACK = 1e-10
+# The one relative tolerance of every spectral judgement: the PSD rule, the rank,
+# square-root and corruption floors, the commutator probe and the certificate.
+_RTOL = 1e-10
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -49,6 +49,13 @@ def _data_matrix(X) -> np.ndarray:
     if not np.isfinite(X).all():
         raise DataError("data matrix contains non-finite entries")
     return X
+
+
+def _check_psd(w: np.ndarray, sigma: np.ndarray) -> None:
+    """The one PSD rule for a class: the ascending eigenvalues ``w`` of
+    Sigma - mean mean^T may not fall below -_RTOL * max|Sigma_ij|."""
+    if w[0] < -_RTOL * max(np.abs(sigma).max(), 1e-300):
+        raise DataError(f"sigma - mean mean^T has eigenvalue {w[0]:g}, below the PSD slack")
 
 
 def _gram(X: np.ndarray, n: int, shift: float = 0.0) -> np.ndarray:
@@ -102,13 +109,11 @@ class ClassModel:
         asym = np.abs(sigma - sigma.T).max()
         if asym != 0.0:
             raise ShapeError(f"sigma must be exactly symmetric, max|s_ij - s_ji| = {asym:g}")
-        # Sigma - mean mean^T is the centered covariance; it must be PSD up to
-        # an eigenvalue slack proportional to the scale of sigma. With a zero
-        # mean it is sigma itself, whose eigenvalues are then kept.
+        # Sigma - mean mean^T is the centered covariance. With a zero mean it
+        # is sigma itself, whose eigenvalues are then kept.
         centered = sigma - np.outer(mean, mean) if mean.any() else sigma
         w = np.linalg.eigvalsh(centered)
-        if w[0] < -_PSD_SLACK * max(np.abs(sigma).max(), 1e-300):
-            raise DataError(f"sigma - mean mean^T has eigenvalue {w[0]:g}, below the PSD slack")
+        _check_psd(w, sigma)
         if centered is sigma:
             object.__setattr__(self, "eigenvalues", _freeze(w))
         object.__setattr__(self, "sigma", _freeze(sigma))
@@ -127,26 +132,13 @@ class ClassModel:
         """Ascending eigenvalues of sigma, computed once."""
         return _freeze(np.linalg.eigvalsh(self.sigma))
 
-    def rank(self, rtol: float = _PSD_SLACK) -> int:
-        """Numerical rank of sigma: eigenvalues above rtol * max eigenvalue."""
+    def rank(self) -> int:
+        """Numerical rank of sigma: eigenvalues above _RTOL * max eigenvalue."""
         w = self.eigenvalues
         top = w[-1] if w.size else 0.0
         if top <= 0.0:
             return 0
-        return int(np.count_nonzero(w > rtol * top))
-
-
-@dataclass(frozen=True)
-class SpectralCache:
-    """Joint eigenbasis for a mixture whose class matrices all commute.
-
-    ``basis`` is orthogonal with basis^T Sigma_l basis = diag(class_eigs[l]).
-    When the class matrices do not commute no cache exists and callers fall
-    back to dense factorizations.
-    """
-
-    basis: np.ndarray
-    class_eigs: np.ndarray  # shape (k, p)
+        return int(np.count_nonzero(w > _RTOL * top))
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,39 +197,38 @@ class Mixture:
     def class_traces(self) -> np.ndarray:
         return np.array([c.trace() for c in self.classes])
 
-    def spectral(self) -> SpectralCache | None:
-        """Joint eigenbasis of the class matrices, or None if they do not commute.
+    def spectral(self) -> np.ndarray | None:
+        """Read-only (k, p) class eigenvalues in one joint eigenbasis, or None.
 
-        Computed lazily once and cached. A candidate basis is taken from a
-        generic positive combination of the class matrices and certified by
-        checking that it actually diagonalizes every Sigma_l. That check is the
-        commutation test (a commutator probe only rejects early); its failure
-        (non-commuting classes, or a degenerate combination) disables the fast path.
+        Computed lazily once. One class is its own record: ClassModel.eigenvalues.
+        Otherwise a basis from a generic positive combination of the classes is
+        certified by checking that it diagonalizes every Sigma_l. That check is
+        the commutation test (a commutator probe only rejects early); its failure
+        (non-commuting classes, or a degenerate combination) gives None.
         """
         return self._spectral
 
     @cached_property
-    def _spectral(self) -> SpectralCache | None:
+    def _spectral(self) -> np.ndarray | None:
+        if self.k == 1:
+            return self.classes[0].eigenvalues[None, :]
         return _joint_eigenbasis([c.sigma for c in self.classes])
 
 
-def _joint_eigenbasis(sigmas) -> SpectralCache | None:
-    """Joint eigenbasis of ``sigmas`` certified by diagonalizing each, or None.
+def _joint_eigenbasis(sigmas) -> np.ndarray | None:
+    """Read-only (k, p) eigenvalues of ``sigmas`` in a certified joint eigenbasis, or None.
 
     Early reject: |C x|_inf <= max|C_ij| |x|_1, so probing each commutator C on
-    one fixed x at O(p^2) cost fails only when max|C_ij| > 1e-10 s_a s_b p.
+    one fixed x at O(p^2) cost fails only when max|C_ij| > _RTOL s_a s_b p.
     """
     p = sigmas[0].shape[0]
     k = len(sigmas)
-    if k == 1:
-        w, v = np.linalg.eigh(sigmas[0])
-        return SpectralCache(basis=v, class_eigs=w[None, :].copy())
     scales = [max(np.abs(s).max(), 1e-300) for s in sigmas]
     x = np.cos(np.arange(p))
     for a in range(k):
         for b in range(a + 1, k):
             gap = sigmas[a] @ (sigmas[b] @ x) - sigmas[b] @ (sigmas[a] @ x)
-            if np.abs(gap).max() > 1e-10 * scales[a] * scales[b] * p * np.abs(x).sum():
+            if np.abs(gap).max() > _RTOL * scales[a] * scales[b] * p * np.abs(x).sum():
                 return None
     # Generic combination: irrational-looking weights break ties between
     # classes so the combination is simple whenever one exists.
@@ -250,10 +241,10 @@ def _joint_eigenbasis(sigmas) -> SpectralCache | None:
         m = v.T @ s @ v
         d = np.diagonal(m).copy()
         off = np.abs(m - np.diag(d)).max()
-        if off > 1e-10 * max(scales[j], 1e-300):
+        if off > _RTOL * scales[j]:
             return None
         eigs[j] = d
-    return SpectralCache(basis=v, class_eigs=eigs)
+    return _freeze(eigs)
 
 
 def toeplitz_covariance(a: float, p: int) -> np.ndarray:

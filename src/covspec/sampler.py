@@ -29,7 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .model import ClassModel, Mixture, _data_matrix, _freeze, _gram, build_mixture
+from .model import _RTOL, ClassModel, Mixture, _check_psd, _data_matrix, _freeze, _gram
+from .model import build_mixture
 
 __all__ = [
     "GeneratorSpec",
@@ -53,7 +54,6 @@ KINDS = ("gaussian", "lipschitz-of-gaussian", "bounded-affine")
 NONLINEARITIES = ("identity", "tanh", "relu", "abs")
 LATENTS = ("standard-normal", "rademacher", "uniform")
 
-_EIG_FLOOR = 1e-10
 _CHUNK = 64
 
 _U64 = np.uint64
@@ -76,7 +76,7 @@ class GeneratorSpec:
     mean: np.ndarray
     factor: np.ndarray
     nonlinearity: str = "identity"
-    latent: str = None
+    latent: str | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -157,18 +157,18 @@ class Histogram:
     transform: float | None = None
 
 
-def principal_sqrt(matrix: np.ndarray) -> np.ndarray:
+def principal_sqrt(matrix: np.ndarray, sigma: np.ndarray | None = None) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
+    A DataError says the matrix fails ClassModel's PSD rule, judged at the
+    scale of ``sigma`` (its own by default) when it is sigma - mean mean^T.
     Eigenvalues below the relative floor are treated as zero, so nearly
     singular inputs produce a clean low-rank factor.
     """
     matrix = np.asarray(matrix, dtype=float)
     w, v = np.linalg.eigh((matrix + matrix.T) / 2.0)
-    top = w[-1] if w.size else 0.0
-    if top < 0:
-        raise DataError("matrix is negative definite; no PSD square root")
-    floor = _EIG_FLOOR * max(top, 0.0)
+    _check_psd(w, matrix if sigma is None else sigma)
+    floor = _RTOL * max(w[-1], 0.0)
     w = np.where(w > floor, w, 0.0)
     return (v * np.sqrt(w)) @ v.T
 
@@ -180,7 +180,7 @@ def _class_spec(
     sigma - mean mean^T, so E[y y^T] equals sigma for an affine kind."""
     sigma = np.asarray(sigma, dtype=float)
     mean = np.zeros(sigma.shape[0]) if mean is None else np.asarray(mean, dtype=float)
-    factor = principal_sqrt(sigma - np.outer(mean, mean))
+    factor = principal_sqrt(sigma - np.outer(mean, mean), sigma)
     return GeneratorSpec(kind, mean, factor, nonlinearity, latent)
 
 
@@ -319,7 +319,7 @@ def empirical_spectrum(X, seed: int | None = None) -> EmpiricalSpectrum:
     """Ascending spectrum of the sample covariance X X^T / n.
 
     Tiny negative eigenvalues from roundoff are clamped to zero; anything
-    below -1e-10 times the largest eigenvalue is treated as data corruption.
+    below -_RTOL times the largest eigenvalue is treated as data corruption.
     """
     if isinstance(X, MixtureSample):
         if seed is None:
@@ -329,7 +329,7 @@ def empirical_spectrum(X, seed: int | None = None) -> EmpiricalSpectrum:
     p, n = X.shape
     vals = np.linalg.eigvalsh(_gram(X, n))
     top = max(vals[-1], 0.0)
-    if vals[0] < -_EIG_FLOOR * max(top, 1e-300):
+    if vals[0] < -_RTOL * max(top, 1e-300):
         raise DataError(
             f"eigenvalue {vals[0]:g} below the numerical floor; matrix corrupted"
         )

@@ -492,3 +492,32 @@ def test_bad_z_grid_exits_two(tmp_path):
         """,
     )
     assert main(["predict", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize(
+    "sigma, mean, message",
+    [
+        ("1,0\n0,-0.5\n", None, "below the PSD slack"),
+        ("1,0.5\n0.4,1\n", None, "sigma file sigma.csv is not exactly symmetric"),
+        # sigma is PSD, sigma - mean mean^T is not.
+        ("1,0\n0,4\n", "1.5\n0\n", "below the PSD slack"),
+    ],
+    ids=["indefinite", "asymmetric", "indefinite-centered"],
+)
+@pytest.mark.parametrize("command", ["simulate", "compare", "predict"])
+def test_invalid_class_moments_exit_two_under_every_command(
+    tmp_path, capsys, command, sigma, mean, message
+):
+    # Every command judges a class by the same rules as the prediction, so
+    # none samples from a sigma that predict and compare reject.
+    (tmp_path / "sigma.csv").write_text(sigma)
+    lines = ["sigma = file sigma.csv"]
+    if mean is not None:
+        (tmp_path / "mean.csv").write_text(mean)
+        lines.append("mean = file mean.csv")
+    text = BASE.replace("p = 4", "p = 2").replace("sigma = identity", "\n    ".join(lines))
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists() or not any(out.iterdir())

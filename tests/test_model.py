@@ -16,6 +16,7 @@ from covspec import (
 )
 from covspec.cli import cmd_predict
 from covspec.config import load_config
+from covspec.fixed_point import _DenseTraces, _SpectralTraces
 from covspec.model import _joint_eigenbasis
 
 
@@ -136,11 +137,27 @@ def test_mixture_requires_a_class():
         Mixture(classes=(), n=4)
 
 
+def _assert_record_matches(mix):
+    """The record's sorted rows are the class spectra, and its traces are
+    those of the dense matrices at a real and a complex shift, which holds
+    only if one basis diagonalizes every class."""
+    eigs = mix.spectral()
+    assert eigs is not None and eigs.shape == (mix.k, mix.p)
+    assert not eigs.flags.writeable
+    for row, model in zip(eigs, mix.classes):
+        np.testing.assert_allclose(np.sort(row), np.linalg.eigvalsh(model.sigma), atol=1e-10)
+    coeff = mix.weights / (1.0 + np.arange(1.0, mix.k + 1))
+    for shift in (0.7, -1.3 - 0.2j):
+        for fast, dense in zip(_SpectralTraces(eigs).traces(coeff, shift),
+                               _DenseTraces(mix).traces(coeff, shift)):
+            np.testing.assert_allclose(fast, dense, rtol=1e-9)
+
+
 def test_spectral_cache_single_class():
     mix = identity_mixture(6, 10)
-    cache = mix.spectral()
-    assert cache is not None
-    np.testing.assert_allclose(cache.class_eigs, np.ones((1, 6)))
+    np.testing.assert_array_equal(mix.spectral(), np.ones((1, 6)))
+    t = toeplitz_covariance(0.3, 8)
+    _assert_record_matches(build_mixture([ClassModel(sigma=t, mean=np.zeros(8), n_l=5)], 5))
 
 
 def test_spectral_cache_commuting_classes():
@@ -148,13 +165,7 @@ def test_spectral_cache_commuting_classes():
     t2 = t @ t
     c1 = ClassModel(sigma=t, mean=np.zeros(8), n_l=4)
     c2 = ClassModel(sigma=(t2 + t2.T) / 2, mean=np.zeros(8), n_l=4)
-    mix = build_mixture([c1, c2], 8)
-    cache = mix.spectral()
-    assert cache is not None
-    # The certified basis must reproduce each class matrix exactly.
-    for row, model in zip(cache.class_eigs, mix.classes):
-        rebuilt = (cache.basis * row) @ cache.basis.T
-        np.testing.assert_allclose(rebuilt, model.sigma, atol=1e-10)
+    _assert_record_matches(build_mixture([c1, c2], 8))
 
 
 def test_spectral_cache_absent_for_noncommuting_classes(rng):
@@ -372,6 +383,32 @@ epsilon = 0.05
     assert cmd_predict(config, str(tmp_path / "out")) == 0
     assert counted["eigvalsh"].calls == 2
     assert counted["eigh"].calls == 1
+
+
+@pytest.mark.parametrize("mean, eigvalsh_calls", [("zeros", 1), ("file mean.csv", 2)])
+def test_one_class_predict_runs_no_eigh(tmp_path, counted, mean, eigvalsh_calls):
+    # The record of one class is its ClassModel.eigenvalues: the PSD check's
+    # eigvalsh for a zero mean, one more eigvalsh of sigma otherwise.
+    (tmp_path / "mean.csv").write_text("0.5\n" + "0\n" * 19)
+    config = _predict_config(tmp_path, f"""
+[mixture]
+p = 20
+n = 30
+classes = a
+
+[class.a]
+n_l = 30
+sigma = toeplitz a=0.3 scale=2
+mean = {mean}
+
+[predict]
+z_grid = 0.5 2
+epsilon = 0.05
+""", "one.ini")
+    (tmp_path / "out").mkdir()
+    assert cmd_predict(config, str(tmp_path / "out")) == 0
+    assert counted["eigvalsh"].calls == eigvalsh_calls
+    assert counted["eigh"].calls == 0
 
 
 def test_zero_mean_eigenvalues_are_those_of_sigma():

@@ -60,6 +60,15 @@ def test_principal_sqrt_clips_roundoff_negatives():
     np.testing.assert_allclose(root @ root.T, rank1, atol=1e-12)
 
 
+def test_principal_sqrt_rejects_what_class_model_rejects():
+    # One PSD rule: an indefinite matrix is no covariance, even when its top
+    # eigenvalue is positive.
+    indefinite = np.diag([1.0, -1e-3])
+    for build in (principal_sqrt, gaussian_class_spec):
+        with pytest.raises(DataError, match="below the PSD slack"):
+            build(indefinite)
+
+
 def test_gaussian_spec_moments():
     t = toeplitz_covariance(0.5, 4)
     spec = gaussian_class_spec(t)
