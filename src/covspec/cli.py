@@ -78,7 +78,7 @@ def _auto_lambda_grid(mixture, count: int) -> np.ndarray:
         mixture, coarse, epsilon=1e-3 * bound, tol=1e-6, max_iter=500
     )
     peak = scan.density.max()
-    if peak <= 0.0:
+    if not peak > 0.0:  # no mass, or a scan point that broke down (NaN)
         return np.linspace(bound * 1e-4, bound, count)
     live = coarse[scan.density > 1e-4 * peak]
     lo = max(float(live.min()) * 0.5, bound * 1e-6)

@@ -138,6 +138,9 @@ def _parse_sigma(value: str, p: int | None, base_dir: str, where: str) -> np.nda
                     raise ValueError("toeplitz power must be >= 1")
                 out = scale * np.linalg.matrix_power(toeplitz_covariance(a, p), power)
                 out = (out + out.T) / 2.0
+            # Entries below the smallest normal double are stored as 0, after
+            # scale: a scale below 1 can push a normal entry under that bound.
+            out[np.abs(out) < np.finfo(float).tiny] = 0.0
         except KeyError as exc:
             raise ParameterError(f"{where}: sigma recipe missing option {exc}") from None
         except ValueError as exc:

@@ -179,7 +179,8 @@ def _solve(backend, mixture: Mixture, shift, tol: float, max_iter: int, start=No
     residual is ||I(delta) - delta||_inf at the returned iterate, damping the
     smallest step fraction used and stieltjes (1/p) tr Q(delta), read off the
     evaluation at delta. A converged iterate with an imaginary part below
-    -tol is flagged as not converged.
+    -tol is flagged as not converged, and a non-finite residual stops the
+    loop unconverged.
     """
     n = mixture.n
     weights = mixture.weights
@@ -203,7 +204,7 @@ def _solve(backend, mixture: Mixture, shift, tol: float, max_iter: int, start=No
     stall = np.inf
     prev_step = None
     iterations = 0
-    while not converged and iterations < max_iter:
+    while not converged and iterations < max_iter and np.isfinite(residual):
         iterations += 1
         frac = 1.0
         if residual < stall:

@@ -51,6 +51,13 @@ def _data_matrix(X) -> np.ndarray:
     return X
 
 
+def _check_symmetric(sigma: np.ndarray) -> None:
+    """The one symmetry rule for a class matrix: exact, with no tolerance."""
+    asym = np.abs(sigma - sigma.T).max()
+    if asym != 0.0:
+        raise ShapeError(f"sigma must be exactly symmetric, max|s_ij - s_ji| = {asym:g}")
+
+
 def _check_psd(w: np.ndarray, sigma: np.ndarray) -> None:
     """The one PSD rule for a class: the ascending eigenvalues ``w`` of
     Sigma - mean mean^T may not fall below -_RTOL * max|Sigma_ij|."""
@@ -106,9 +113,7 @@ class ClassModel:
             raise DataError("class model entries must be finite")
         if not isinstance(self.n_l, (int, np.integer)) or self.n_l < 1:
             raise ParameterError(f"n_l must be a positive integer, got {self.n_l!r}")
-        asym = np.abs(sigma - sigma.T).max()
-        if asym != 0.0:
-            raise ShapeError(f"sigma must be exactly symmetric, max|s_ij - s_ji| = {asym:g}")
+        _check_symmetric(sigma)
         # Sigma - mean mean^T is the centered covariance. With a zero mean it
         # is sigma itself, whose eigenvalues are then kept.
         centered = sigma - np.outer(mean, mean) if mean.any() else sigma
@@ -251,14 +256,18 @@ def toeplitz_covariance(a: float, p: int) -> np.ndarray:
     """Symmetric Toeplitz matrix with entries a^(|i-j|+1).
 
     The first row reads (a, a^2, ..., a^p); for |a| < 1 the matrix is
-    diagonally dominant, hence positive definite, once a > 0.
+    diagonally dominant, hence positive definite, once a > 0. Entries below
+    the smallest normal double (about 2.2e-308) are stored as 0, so no
+    product on the matrix runs in subnormal arithmetic.
     """
     if not 0 < a < 1:
         raise ParameterError(f"toeplitz parameter must lie in (0, 1), got {a}")
-    if p < 1:
-        raise ParameterError(f"dimension must be positive, got {p}")
+    if not isinstance(p, (int, np.integer)) or p < 1:
+        raise ParameterError(f"dimension must be a positive integer, got {p!r}")
     idx = np.arange(p)
-    return a ** (np.abs(idx[:, None] - idx[None, :]) + 1.0)
+    row = a ** (idx + 1.0)
+    row[row < np.finfo(float).tiny] = 0.0
+    return row[np.abs(idx[:, None] - idx[None, :])]
 
 
 def build_mixture(classes, n: int) -> Mixture:

@@ -29,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .model import _RTOL, ClassModel, Mixture, _check_psd, _data_matrix, _freeze, _gram
-from .model import build_mixture
+from .model import _RTOL, ClassModel, Mixture, _check_psd, _check_symmetric, _data_matrix
+from .model import _freeze, _gram, build_mixture
 
 __all__ = [
     "GeneratorSpec",
@@ -160,13 +160,15 @@ class Histogram:
 def principal_sqrt(matrix: np.ndarray, sigma: np.ndarray | None = None) -> np.ndarray:
     """Symmetric PSD square root via eigendecomposition.
 
-    A DataError says the matrix fails ClassModel's PSD rule, judged at the
-    scale of ``sigma`` (its own by default) when it is sigma - mean mean^T.
-    Eigenvalues below the relative floor are treated as zero, so nearly
-    singular inputs produce a clean low-rank factor.
+    The matrix must be exactly symmetric (a ShapeError otherwise), as
+    ClassModel requires. A DataError says it fails ClassModel's PSD rule,
+    judged at the scale of ``sigma`` (its own by default) when it is
+    sigma - mean mean^T. Eigenvalues below the relative floor are treated
+    as zero, so nearly singular inputs produce a clean low-rank factor.
     """
     matrix = np.asarray(matrix, dtype=float)
-    w, v = np.linalg.eigh((matrix + matrix.T) / 2.0)
+    _check_symmetric(matrix)
+    w, v = np.linalg.eigh(matrix)
     _check_psd(w, matrix if sigma is None else sigma)
     floor = _RTOL * max(w[-1], 0.0)
     w = np.where(w > floor, w, 0.0)

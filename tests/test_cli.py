@@ -154,6 +154,29 @@ def test_predict_nonconvergence_exit_code(tmp_path):
     assert main(["predict", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_predict_flags_a_breakdown_on_subnormal_file_entries(tmp_path):
+    # A sigma file is read as it is, subnormal entries and all. The density
+    # solves break down to a NaN residual: flagged rows and exit 1.
+    write_matrix(str(tmp_path / "sigma.csv"), 1e-310 * np.eye(4))
+    cfg_path = write_config(
+        tmp_path,
+        """
+        [mixture]
+        p = 4
+        n = 4
+        classes = a
+
+        [class.a]
+        n_l = 4
+        sigma = file sigma.csv
+        """,
+    )
+    with np.errstate(all="ignore"):
+        assert main(["predict", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    _, header, rows = read_csv_file(tmp_path / "o" / "density.csv")
+    assert not rows[:, header.index("converged")].all()
+
+
 def test_predict_passes_max_iter_to_density_solve(tmp_path):
     cfg_path = write_config(
         tmp_path,

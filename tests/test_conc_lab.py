@@ -324,7 +324,7 @@ def test_delta_empirical_matches_the_leave_one_out_resolvent(p, z):
     pairs = [
         (gaussian_class_spec(t), 13),
         (bounded_class_spec(2.0 * np.eye(p)), 9),
-        (bounded_class_spec(t @ t, latent="uniform"), 18),
+        (bounded_class_spec((t @ t + (t @ t).T) / 2.0, latent="uniform"), 18),
     ]
     est = delta_empirical(pairs, z=z, trials=4, seed=21)
     want = _leave_one_out_draws(pairs, z, 4, 21)

@@ -86,6 +86,26 @@ def test_toeplitz_recipe_matches_library(tmp_path):
     np.testing.assert_allclose(cfg.class_configs[0].sigma, expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("p, recipe", [
+    (500, "toeplitz a=0.1 scale=10 power=2"),
+    (500, "toeplitz a=0.1 scale=1e-300 power=2"),
+    (40, "identity scale=1e-310"),
+])
+def test_sigma_recipes_hold_no_subnormal_entry(tmp_path, p, recipe):
+    cfg = load_config(write_config(tmp_path, f"""
+        [mixture]
+        p = {p}
+        n = {p}
+        classes = a
+
+        [class.a]
+        n_l = {p}
+        sigma = {recipe}
+        """))
+    sigma = np.abs(cfg.class_configs[0].sigma)
+    assert not ((sigma > 0) & (sigma < np.finfo(float).tiny)).any()
+
+
 def test_sigma_and_mean_files_resolve_relative_to_config(tmp_path):
     sigma = np.array([[2.0, 0.5], [0.5, 3.0]])
     write_matrix(str(tmp_path / "sigma.csv"), sigma)

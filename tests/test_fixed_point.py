@@ -178,6 +178,16 @@ def test_solver_reports_nonconvergence_without_raising():
     assert sol.residual > 0
 
 
+def test_non_finite_residual_stops_the_solve_unconverged():
+    # At w = 1e-310 i the traces of a subnormal class overflow to a NaN
+    # residual; the solve must report that, not fail inside its loop.
+    mix = build_mixture([ClassModel(1e-310 * np.eye(4), np.zeros(4), 4)], 4)
+    with np.errstate(all="ignore"):
+        sol = solve_delta_complex(mix, 1e-310j)
+    assert not sol.converged
+    assert np.isnan(sol.residual)
+
+
 @pytest.mark.parametrize("z", [0.0, -1.0, 1j, np.array([1.0, 2.0])])
 def test_real_solver_rejects_bad_z(z):
     mix = identity_mixture(4, 4)

@@ -38,6 +38,28 @@ def test_toeplitz_parameter_range(a):
         toeplitz_covariance(a, 4)
 
 
+@pytest.mark.parametrize("p", [2.5, 3.0, 0, -2])
+def test_toeplitz_dimension_must_be_a_positive_integer(p):
+    with pytest.raises(ParameterError):
+        toeplitz_covariance(0.5, p)
+
+
+def _lags(p):
+    idx = np.arange(p)
+    return np.abs(idx[:, None] - idx[None, :])
+
+
+@pytest.mark.parametrize("p", [40, 500, 600])
+@pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.9])
+def test_toeplitz_row_build_is_the_entrywise_formula_without_its_subnormal_tail(a, p):
+    formula = a ** (_lags(p) + 1.0)
+    t = toeplitz_covariance(a, p)
+    normal = formula >= np.finfo(float).tiny
+    assert t[normal].tobytes() == formula[normal].tobytes()
+    assert not t[~normal].any()
+    assert not ((t > 0) & (t < np.finfo(float).tiny)).any()
+
+
 def test_toeplitz_positive_definite():
     t = toeplitz_covariance(0.9, 40)
     assert np.linalg.eigvalsh(t)[0] > 0
@@ -273,7 +295,9 @@ def _random_pair(p, seed):
     return [_symmetric(g @ g.T / p) for g in rng.standard_normal((2, p, p))]
 
 
-_T = toeplitz_covariance(0.1, 500)
+# The unflushed formula, not toeplitz_covariance: the probe must stay sound on
+# matrices that carry a subnormal tail, such as a sigma file may hold.
+_T = 0.1 ** (_lags(500) + 1.0)
 _PROBE_FAMILIES = {
     "toeplitz powers a=0.1": [10 * _symmetric(_T @ _T), 10 * _T],
     "toeplitz cube a=0.1": [_T, _symmetric(_T @ _T @ _T)],
@@ -350,6 +374,27 @@ sigma = toeplitz a=0.1 scale=10 power=2
 @pytest.mark.parametrize("text", [README_MIXTURE, THREE_CLASS_MIXTURE])
 def test_example_mixtures_take_the_spectral_path(tmp_path, text):
     assert _predict_config(tmp_path, text, "exp.ini").mixture().spectral() is not None
+
+
+def _unflushed_toeplitz(p, power):
+    out = 10.0 * np.linalg.matrix_power(0.1 ** (_lags(p) + 1.0), power)
+    return _symmetric(out)
+
+
+@pytest.mark.parametrize("text, unflushed", [
+    (README_MIXTURE, lambda: [_unflushed_toeplitz(500, 2), _unflushed_toeplitz(500, 1)]),
+    (THREE_CLASS_MIXTURE,
+     lambda: [np.eye(600), _unflushed_toeplitz(600, 1), _unflushed_toeplitz(600, 2)]),
+])
+def test_flushing_the_recipe_tail_leaves_the_spectral_record_byte_identical(
+    tmp_path, text, unflushed
+):
+    mix = _predict_config(tmp_path, text, "exp.ini").mixture()
+    reference = build_mixture(
+        [ClassModel(sigma, np.zeros(mix.p), c.n_l) for sigma, c in zip(unflushed(), mix.classes)],
+        mix.n,
+    )
+    assert mix.spectral().tobytes() == reference.spectral().tobytes()
 
 
 def test_estimated_classes_exit_before_the_eigh(rng, counted):

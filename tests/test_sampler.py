@@ -6,6 +6,7 @@ import pytest
 from conftest import no_sampling
 import covspec.sampler
 from covspec import (
+    ClassModel,
     DataError,
     GeneratorSpec,
     ParameterError,
@@ -67,6 +68,17 @@ def test_principal_sqrt_rejects_what_class_model_rejects():
     for build in (principal_sqrt, gaussian_class_spec):
         with pytest.raises(DataError, match="below the PSD slack"):
             build(indefinite)
+
+
+def test_principal_sqrt_rejects_an_asymmetric_matrix():
+    # Symmetrizing would sample from [[1, .45], [.45, 1]], a matrix the
+    # caller never gave; ClassModel rejects the same input.
+    asymmetric = np.array([[1.0, 0.5], [0.4, 1.0]])
+    for build in (principal_sqrt, gaussian_class_spec, bounded_class_spec):
+        with pytest.raises(ShapeError, match="exactly symmetric"):
+            build(asymmetric)
+    with pytest.raises(ShapeError, match="exactly symmetric"):
+        ClassModel(sigma=asymmetric, mean=np.zeros(2), n_l=1)
 
 
 def test_gaussian_spec_moments():

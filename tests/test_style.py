@@ -13,3 +13,9 @@ def test_source_lines_fit_in_99_columns():
         if len(line) > 99
     ]
     assert long == []
+
+
+def test_source_stays_below_the_line_baseline():
+    # ROADMAP aim 2: net source lines stay below the baseline of 2,812.
+    total = sum(len(path.read_text().splitlines()) for path in SRC.glob("*.py"))
+    assert total < 2812
