@@ -22,7 +22,7 @@ import numpy as np
 from .equivalent import deterministic_resolvent
 from .errors import DataError, ParameterError, ShapeError
 from .fixed_point import _check_z, solve_delta
-from .model import Mixture, _gram
+from .model import Mixture, _check_symmetric, _gram
 from .sampler import (
     GeneratorSpec,
     _trial_samples,
@@ -276,12 +276,9 @@ def quadratic_form_check(
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] != spec.p:
         raise ShapeError(f"A must be {spec.p} x {spec.p}, got shape {A.shape}")
-    scale = max(np.abs(A).max(), 1e-300)
-    if np.abs(A - A.T).max() > 1e-12 * scale:
-        raise ShapeError("A must be symmetric")
+    _check_symmetric(A, "A")
     if trials < 2:
         raise ParameterError(f"need at least 2 trials, got {trials}")
-    A = (A + A.T) / 2.0
     if second_moment is None:
         second_moment = class_model_of(spec, 1).sigma
     pivot = float(np.sum(A * second_moment))

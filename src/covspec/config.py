@@ -9,8 +9,9 @@ Every section is checked and typed when the config loads, whether or not the
 command reads it: one table gives the keys each section takes and the cast
 of each from text, and a [conclab.<check>] section takes the check's
 keyword-only parameters. An unknown section or key, or a value its cast
-rejects, is a ParameterError naming the file and section. Range checks stay
-with the library functions that use the values.
+rejects, is a ParameterError naming the file and section; an error about a
+class's structure (judged here) or PSD rule (where a command decomposes it)
+names them too. Range checks stay with the functions that use the values.
 """
 
 from __future__ import annotations
@@ -25,17 +26,26 @@ import numpy as np
 from .conc_lab import CHECKS
 from .errors import DataError, ParameterError, ShapeError
 from .io import read_matrix
-from .model import ClassModel, Mixture, build_mixture, toeplitz_covariance
+from .model import ClassModel, Mixture, _check_class, build_mixture, toeplitz_covariance
 from .sampler import GeneratorSpec, _class_spec
 
 __all__ = ["ClassConfig", "ExperimentConfig", "load_config", "parse_grid"]
 
 
+def _in_section(where: str, build, *args):
+    """build(*args); an error it raises about the class names ``where``."""
+    try:
+        return build(*args)
+    except (ParameterError, ShapeError, DataError) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class ClassConfig:
-    """One parsed [class.*] section."""
+    """One parsed [class.*] section; ``where`` names the file and the section."""
 
     label: str
+    where: str
     n_l: int
     sigma: np.ndarray
     mean: np.ndarray
@@ -44,10 +54,11 @@ class ClassConfig:
     nonlinearity: str = "identity"
 
     def model(self) -> ClassModel:
-        return ClassModel(sigma=self.sigma, mean=self.mean, n_l=self.n_l)
+        return _in_section(self.where, ClassModel, self.sigma, self.mean, self.n_l)
 
     def spec(self) -> GeneratorSpec:
-        return _class_spec(self.generator, self.sigma, self.mean, self.nonlinearity, self.latent)
+        return _in_section(self.where, _class_spec, self.generator, self.sigma, self.mean,
+                           self.nonlinearity, self.latent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,10 +121,6 @@ def _parse_sigma(value: str, p: int | None, base_dir: str, where: str) -> np.nda
         if len(args) != 1:
             raise ParameterError(f"{where}: sigma file form is 'file PATH'")
         out = read_matrix(os.path.join(base_dir, args[0]))
-        # Recipes are symmetric by construction; a file must be so exactly,
-        # as ClassModel requires, so that no command symmetrizes it silently.
-        if out.shape[0] == out.shape[1] and np.abs(out - out.T).max() > 0:
-            raise ShapeError(f"{where}: sigma file {args[0]} is not exactly symmetric")
     elif kind not in ("identity", "zero", "toeplitz"):
         raise ParameterError(f"{where}: unknown sigma recipe {kind!r}")
     elif p is None:
@@ -148,22 +155,16 @@ def _parse_sigma(value: str, p: int | None, base_dir: str, where: str) -> np.nda
         if opts:
             raise ParameterError(f"{where}: unused sigma options {sorted(opts)}")
     if p is not None and out.shape != (p, p):
-        raise ParameterError(
-            f"{where}: sigma has shape {out.shape}, expected ({p}, {p})"
-        )
+        raise ParameterError(f"{where}: sigma has shape {out.shape}, expected ({p}, {p})")
     return out
 
 
-def _parse_mean(value: str, p: int, base_dir: str, where: str) -> np.ndarray:
+def _parse_mean(value: str, base_dir: str, where: str) -> np.ndarray | None:
     tokens = value.split()
     if tokens == ["zeros"]:
-        return np.zeros(p)
+        return None
     if len(tokens) == 2 and tokens[0] == "file":
-        vec = read_matrix(os.path.join(base_dir, tokens[1]))
-        vec = vec.ravel()
-        if vec.shape != (p,):
-            raise ParameterError(f"{where}: mean has {vec.size} entries, expected {p}")
-        return vec
+        return read_matrix(os.path.join(base_dir, tokens[1])).ravel()
     raise ParameterError(f"{where}: mean must be 'zeros' or 'file PATH'")
 
 
@@ -278,8 +279,9 @@ def load_config(path: str) -> ExperimentConfig:
                 if key not in values:
                     raise ParameterError(f"{where}: {key} is required")
             sigma = _parse_sigma(values.pop("sigma"), p, base_dir, where)
-            mean = _parse_mean(values.pop("mean", "zeros"), sigma.shape[0], base_dir, where)
-            class_configs.append(ClassConfig(label, sigma=sigma, mean=mean, **values))
+            mean = _parse_mean(values.pop("mean", "zeros"), base_dir, where)
+            sigma, mean = _in_section(where, _check_class, sigma, mean)
+            class_configs.append(ClassConfig(label, where, sigma=sigma, mean=mean, **values))
         if n_total is None:
             n_total = sum(c.n_l for c in class_configs)
 

@@ -72,9 +72,6 @@ def sigma_delta(mixture: Mixture, delta) -> np.ndarray:
 def deterministic_resolvent(mixture: Mixture, delta, z: float) -> np.ndarray:
     """Full matrix (sigma_delta + z I)^-1, symmetrized."""
     z = _check_z(z)
-    delta = np.asarray(delta, dtype=float)
-    if delta.min() < 0:
-        raise ParameterError("delta must be entrywise nonnegative")
     coeff = _coefficients(mixture, delta)
     out = np.linalg.inv(_combine([c.sigma for c in mixture.classes], coeff, z))
     return (out + out.T) / 2.0
@@ -87,7 +84,7 @@ def stieltjes_from_delta(mixture: Mixture, delta, z: float) -> float:
     ``FixedPointSolution.stieltjes``.
     """
     z = _check_z(z)
-    coeff = _coefficients(mixture, np.asarray(delta, dtype=float))
+    coeff = _coefficients(mixture, delta)
     return float(_trace_backend(mixture).traces(coeff, z)[2])
 
 

@@ -116,14 +116,12 @@ def _check_stop(tol, max_iter) -> None:
 
 
 def _coefficients(mixture: Mixture, delta) -> np.ndarray:
-    """Per-class scalars w_l / (1 + delta_l) entering Sigma_delta."""
+    """Per-class w_l / (1 + delta_l); the one rule for a delta: k real entries, each >= 0."""
     delta = np.asarray(delta)
     if delta.shape != (mixture.k,):
-        raise ShapeError(
-            f"delta has shape {delta.shape}, expected ({mixture.k},)"
-        )
-    if np.any(delta == -1.0):
-        raise ParameterError("delta component equal to -1 divides by zero")
+        raise ShapeError(f"delta has shape {delta.shape}, expected ({mixture.k},)")
+    if delta.dtype.kind not in "iuf" or not (delta >= 0).all():
+        raise ParameterError(f"delta must be real and entrywise nonnegative, got {delta}")
     return mixture.weights / (1.0 + delta)
 
 
@@ -179,8 +177,8 @@ def _solve(backend, mixture: Mixture, shift, tol: float, max_iter: int, start=No
     residual is ||I(delta) - delta||_inf at the returned iterate, damping the
     smallest step fraction used and stieltjes (1/p) tr Q(delta), read off the
     evaluation at delta. A converged iterate with an imaginary part below
-    -tol is flagged as not converged, and a non-finite residual stops the
-    loop unconverged.
+    -tol or a non-finite stieltjes is flagged as not converged, and a
+    non-finite residual stops the loop unconverged.
     """
     n = mixture.n
     weights = mixture.weights
@@ -231,8 +229,7 @@ def _solve(backend, mixture: Mixture, shift, tol: float, max_iter: int, start=No
         cur = trial
         step, residual, jac, stieltjes = evaluated
         converged = residual <= tol * max(1.0, float(np.abs(cur).max()))
-    if converged and float(np.imag(cur).min()) < -tol:
-        converged = False
+    converged = converged and float(np.imag(cur).min()) >= -tol and bool(np.isfinite(stieltjes))
     return cur, residual, iterations, converged, damping, stieltjes
 
 
@@ -243,9 +240,6 @@ def interference_map(delta, mixture: Mixture, z: float) -> np.ndarray:
     entrywise increasing in ``delta``.
     """
     z = _check_z(z)
-    delta = np.asarray(delta, dtype=float)
-    if delta.min() < 0:
-        raise ParameterError("delta must be entrywise nonnegative")
     coeff = _coefficients(mixture, delta)
     return _trace_backend(mixture).traces(coeff, z)[0] / mixture.n
 

@@ -51,11 +51,26 @@ def _data_matrix(X) -> np.ndarray:
     return X
 
 
-def _check_symmetric(sigma: np.ndarray) -> None:
-    """The one symmetry rule for a class matrix: exact, with no tolerance."""
-    asym = np.abs(sigma - sigma.T).max()
+def _check_class(sigma, mean=None):
+    """The one structural rule for a class: sigma square with p >= 1, the mean (zeros
+    by default) of length p, both finite, sigma exactly symmetric. Returns both as arrays."""
+    sigma = np.asarray(sigma, dtype=float)
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
+        raise ShapeError(f"sigma must be square with p >= 1, got shape {sigma.shape}")
+    mean = np.zeros(sigma.shape[0]) if mean is None else np.asarray(mean, dtype=float)
+    if mean.shape != (sigma.shape[0],):
+        raise ShapeError(f"mean has shape {mean.shape}, expected ({sigma.shape[0]},)")
+    if not (np.isfinite(sigma).all() and np.isfinite(mean).all()):
+        raise DataError("class model entries must be finite")
+    _check_symmetric(sigma)
+    return sigma, mean
+
+
+def _check_symmetric(matrix: np.ndarray, name: str = "sigma") -> None:
+    """The one symmetry rule for a matrix: exact, with no tolerance."""
+    asym = np.abs(matrix - matrix.T).max()
     if asym != 0.0:
-        raise ShapeError(f"sigma must be exactly symmetric, max|s_ij - s_ji| = {asym:g}")
+        raise ShapeError(f"{name} must be exactly symmetric, max|s_ij - s_ji| = {asym:g}")
 
 
 def _check_psd(w: np.ndarray, sigma: np.ndarray) -> None:
@@ -101,21 +116,9 @@ class ClassModel:
     n_l: int
 
     def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=float)
-        mean = np.asarray(self.mean, dtype=float)
-        if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
-            raise ShapeError(f"sigma must be square with p >= 1, got shape {sigma.shape}")
-        if mean.ndim != 1 or mean.shape[0] != sigma.shape[0]:
-            raise ShapeError(
-                f"mean has shape {mean.shape}, expected ({sigma.shape[0]},)"
-            )
-        if not (np.isfinite(sigma).all() and np.isfinite(mean).all()):
-            raise DataError("class model entries must be finite")
+        sigma, mean = _check_class(self.sigma, self.mean)
         if not isinstance(self.n_l, (int, np.integer)) or self.n_l < 1:
             raise ParameterError(f"n_l must be a positive integer, got {self.n_l!r}")
-        _check_symmetric(sigma)
-        # Sigma - mean mean^T is the centered covariance. With a zero mean it
-        # is sigma itself, whose eigenvalues are then kept.
         centered = sigma - np.outer(mean, mean) if mean.any() else sigma
         w = np.linalg.eigvalsh(centered)
         _check_psd(w, sigma)

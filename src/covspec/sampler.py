@@ -29,8 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .model import _RTOL, ClassModel, Mixture, _check_psd, _check_symmetric, _data_matrix
-from .model import _freeze, _gram, build_mixture
+from .model import _RTOL, ClassModel, Mixture, _check_class, _check_psd, _check_symmetric
+from .model import _data_matrix, _freeze, _gram, build_mixture
 
 __all__ = [
     "GeneratorSpec",
@@ -180,8 +180,7 @@ def _class_spec(
 ) -> GeneratorSpec:
     """Generator of ``kind`` whose factor is the principal square root of
     sigma - mean mean^T, so E[y y^T] equals sigma for an affine kind."""
-    sigma = np.asarray(sigma, dtype=float)
-    mean = np.zeros(sigma.shape[0]) if mean is None else np.asarray(mean, dtype=float)
+    sigma, mean = _check_class(sigma, mean)
     factor = principal_sqrt(sigma - np.outer(mean, mean), sigma)
     return GeneratorSpec(kind, mean, factor, nonlinearity, latent)
 

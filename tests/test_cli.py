@@ -177,6 +177,33 @@ def test_predict_flags_a_breakdown_on_subnormal_file_entries(tmp_path):
     assert not rows[:, header.index("converged")].all()
 
 
+def test_predict_exits_one_on_an_infinite_stieltjes_value(tmp_path):
+    # On 1e-310 I at z = 1e-310 the fixed point is finite, but (1/p) tr Q
+    # overflows: the solve is flagged unconverged, never a silent inf.
+    write_matrix(str(tmp_path / "sigma.csv"), 1e-310 * np.eye(4))
+    cfg_path = write_config(
+        tmp_path,
+        """
+        [mixture]
+        n = 4
+        classes = a
+
+        [class.a]
+        n_l = 4
+        sigma = file sigma.csv
+
+        [predict]
+        z_grid = 1e-310
+        lambda_grid = 1 2
+        epsilon = 0.1
+        """,
+    )
+    with np.errstate(all="ignore"):
+        assert main(["predict", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 1
+    _, _, rows = read_csv_file(tmp_path / "o" / "stieltjes.csv")
+    assert np.isinf(rows[0, 1])
+
+
 def test_predict_passes_max_iter_to_density_solve(tmp_path):
     cfg_path = write_config(
         tmp_path,
@@ -241,6 +268,37 @@ def test_compare_outputs_and_thread_independence(tmp_path):
     for z, _, _, m_pred, _ in rows:
         sol = solve_delta(mixture, z)
         assert abs(m_pred - stieltjes_from_delta(mixture, sol.delta, z)) <= 1e-12
+
+
+def test_compare_default_lambda_grid_matches_the_spectrum(tmp_path):
+    # No lambda_grid: the density is predicted on compare's own grid over the
+    # histogram's span. An atom-free mixture (p <= n) at criterion 03's bounds.
+    cfg_path = write_config(
+        tmp_path,
+        """
+        [mixture]
+        p = 100
+        n = 200
+        classes = a b
+
+        [class.a]
+        n_l = 66
+        sigma = toeplitz a=0.3
+
+        [class.b]
+        n_l = 134
+        sigma = identity scale=2
+
+        [compare]
+        z_grid = 0.5:5:10
+        trials = 10
+        seed = 1
+        """,
+    )
+    assert main(["compare", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 0
+    comments, _, _ = read_csv_file(tmp_path / "o" / "compare.csv")
+    assert float(comments["sup_err"]) <= 0.05
+    assert float(comments["hist_l1"]) <= 0.1
 
 
 RECORD = re.compile(
@@ -517,30 +575,40 @@ def test_bad_z_grid_exits_two(tmp_path):
     assert main(["predict", "--config", cfg_path, "--out", str(tmp_path / "o")]) == 2
 
 
+# (sigma file, mean file, p line of [mixture], message). Structural faults are
+# caught when the config loads; the PSD rule runs where a command decomposes
+# the class, and conclab decomposes none.
+_STRUCTURAL = {
+    "asymmetric": ("1,0.5\n0.4,1\n", None, "p = 2", "sigma must be exactly symmetric"),
+    "nan-entry": ("1,nan\nnan,1\n", None, "p = 2", "class model entries must be finite"),
+    "non-square": ("1,0,0\n0,1,0\n", None, "", "sigma must be square"),
+}
+_PSD = {
+    "indefinite": ("1,0\n0,-0.5\n", None, "p = 2", "below the PSD slack"),
+    # sigma is PSD, sigma - mean mean^T is not.
+    "indefinite-centered": ("1,0\n0,4\n", "1.5\n0\n", "p = 2", "below the PSD slack"),
+}
+
+
 @pytest.mark.parametrize(
-    "sigma, mean, message",
-    [
-        ("1,0\n0,-0.5\n", None, "below the PSD slack"),
-        ("1,0.5\n0.4,1\n", None, "sigma file sigma.csv is not exactly symmetric"),
-        # sigma is PSD, sigma - mean mean^T is not.
-        ("1,0\n0,4\n", "1.5\n0\n", "below the PSD slack"),
-    ],
-    ids=["indefinite", "asymmetric", "indefinite-centered"],
+    "command, case",
+    [pytest.param(command, case, id=f"{command}-{case}")
+     for command in ("simulate", "compare", "predict", "conclab")
+     for case in (*_STRUCTURAL, *_PSD) if command != "conclab" or case in _STRUCTURAL],
 )
-@pytest.mark.parametrize("command", ["simulate", "compare", "predict"])
-def test_invalid_class_moments_exit_two_under_every_command(
-    tmp_path, capsys, command, sigma, mean, message
-):
+def test_invalid_class_moments_exit_two_under_every_command(tmp_path, capsys, command, case):
     # Every command judges a class by the same rules as the prediction, so
-    # none samples from a sigma that predict and compare reject.
+    # none samples from a sigma that predict and compare reject, and every
+    # message names the config file and the class's section.
+    sigma, mean, p_line, message = (_STRUCTURAL | _PSD)[case]
     (tmp_path / "sigma.csv").write_text(sigma)
     lines = ["sigma = file sigma.csv"]
     if mean is not None:
         (tmp_path / "mean.csv").write_text(mean)
         lines.append("mean = file mean.csv")
-    text = BASE.replace("p = 4", "p = 2").replace("sigma = identity", "\n    ".join(lines))
+    text = BASE.replace("p = 4", p_line).replace("sigma = identity", "\n    ".join(lines))
     out = tmp_path / "out"
     assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and message in err
+    assert err.startswith("error:") and "exp.ini [class.a]: " in err and message in err
     assert not out.exists() or not any(out.iterdir())

@@ -34,6 +34,7 @@ from covspec import (
 from covspec.conc_lab import (
     LIPSCHITZ_FUNCTIONALS,
     _check_delta_gap,
+    _check_diameter,
     _check_resolvent_error,
     _check_tail_fit,
     _isotropic,
@@ -201,6 +202,16 @@ def test_observable_diameter_matches_per_column_loop():
         assert se == pytest.approx(gaps.std(ddof=1) / np.sqrt(trials), rel=1e-10)
 
 
+def test_diameter_check_records_each_dimension_and_the_ratio():
+    records = _check_diameter(7, p_list=(16, 64), trials=400)
+    assert [r[0] for r in records] == ["diameter_p16", "diameter_p64", "diameter_ratio"]
+    values = [r[1] for r in records[:2]]
+    assert records[2][1] == pytest.approx(max(values) / min(values))
+    # E|(|X| - |X'|)| for N(0, I_p) is near 2 / sqrt(2 pi) ~ 0.8 whatever p is.
+    assert all(0.6 <= v <= 1.0 for v in values)
+    assert all(r[5] for r in records)
+
+
 def test_observable_diameter_validation():
     spec = gaussian_class_spec(np.eye(2))
     with pytest.raises(ParameterError):
@@ -253,6 +264,11 @@ def test_quad_form_validation():
     asym[0, 1] = 0.5
     with pytest.raises(ShapeError):
         quadratic_form_check(spec, asym, trials=10, seed=0)
+    # A is judged by the one exact symmetry rule: one ulp is asymmetric.
+    ulp = np.eye(3)
+    ulp[0, 1] = np.nextafter(0.0, 1.0)
+    with pytest.raises(ShapeError, match="A must be exactly symmetric"):
+        quadratic_form_check(spec, ulp, trials=10, seed=0)
     with pytest.raises(ParameterError):
         quadratic_form_check(spec, np.eye(3), trials=1, seed=0)
 

@@ -19,6 +19,7 @@ from covspec import (
     empirical_resolvent,
     empirical_spectrum,
     empirical_stieltjes,
+    interference_map,
     sigma_delta,
     solve_delta,
     solve_delta_complex,
@@ -53,6 +54,23 @@ def test_sigma_delta_rejects_pole():
         sigma_delta(mix, np.array([-1.0]))
     with pytest.raises(ParameterError):
         stieltjes_from_delta(mix, np.array([-1.0]), 1.0)
+
+
+@pytest.mark.parametrize("delta", [-0.5, np.nan, 0.5 + 0.1j])
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda mix, delta: interference_map(delta, mix, 1.0),
+        sigma_delta,
+        lambda mix, delta: deterministic_resolvent(mix, delta, 1.0),
+        lambda mix, delta: stieltjes_from_delta(mix, delta, 1.0),
+    ],
+    ids=["interference_map", "sigma_delta", "deterministic_resolvent", "stieltjes_from_delta"],
+)
+def test_delta_evaluators_share_one_admissibility_rule(evaluate, delta):
+    # A fixed-point vector is real and entrywise nonnegative for every evaluator.
+    with pytest.raises(ParameterError, match="real and entrywise nonnegative"):
+        evaluate(identity_mixture(4, 4), np.array([delta]))
 
 
 def test_solution_carries_the_stieltjes_value_of_its_delta(rng):

@@ -188,6 +188,16 @@ def test_non_finite_residual_stops_the_solve_unconverged():
     assert np.isnan(sol.residual)
 
 
+def test_infinite_stieltjes_value_is_not_converged():
+    # The fixed point of 1e-310 I at z = 1e-310 is finite, but (1/p) tr Q
+    # overflows to inf; a converged flag would pass that inf on silently.
+    mix = build_mixture([ClassModel(1e-310 * np.eye(4), np.zeros(4), 4)], 4)
+    with np.errstate(all="ignore"):
+        sol = solve_delta(mix, 1e-310)
+    assert np.isfinite(sol.delta).all() and np.isinf(sol.stieltjes)
+    assert not sol.converged
+
+
 @pytest.mark.parametrize("z", [0.0, -1.0, 1j, np.array([1.0, 2.0])])
 def test_real_solver_rejects_bad_z(z):
     mix = identity_mixture(4, 4)

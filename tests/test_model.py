@@ -330,6 +330,22 @@ def test_commutator_probe_rejects_only_what_the_full_test_rejects(family, counte
     assert (cache is not None) == expect_spectral
 
 
+def test_certificate_rejects_a_pair_the_probe_cannot_see(counted):
+    # For symmetric 3 x 3 A, B the commutator C = AB - BA is antisymmetric, so
+    # C x is the cross product of C's axis with x. With A = diag(1, 2, 3),
+    # C_ij = (a_i - a_j) B_ij, and these entries of B set the axis to the
+    # probe vector x itself: the probe passes, and the certificate rejects.
+    x = np.cos(np.arange(3.0))
+    b = 5.0 * np.eye(3)
+    b[1, 2] = b[2, 1] = x[0]
+    b[0, 2] = b[2, 0] = -x[1] / 2.0
+    b[0, 1] = b[1, 0] = x[2]
+    sigmas = [np.diag([1.0, 2.0, 3.0]), b]
+    assert _full_commutator_rejects(sigmas)
+    assert _joint_eigenbasis(sigmas) is None
+    assert counted["eigh"].calls == 1
+
+
 def _predict_config(tmp_path, text, name):
     path = tmp_path / name
     path.write_text(text)

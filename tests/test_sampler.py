@@ -81,6 +81,11 @@ def test_principal_sqrt_rejects_an_asymmetric_matrix():
         ClassModel(sigma=asymmetric, mean=np.zeros(2), n_l=1)
 
 
+def test_class_spec_rejects_a_non_square_sigma_before_any_arithmetic():
+    with pytest.raises(ShapeError, match="sigma must be square"):
+        gaussian_class_spec(np.ones((3, 4)))
+
+
 def test_gaussian_spec_moments():
     t = toeplitz_covariance(0.5, 4)
     spec = gaussian_class_spec(t)
@@ -423,6 +428,14 @@ def test_lipschitz_sample_applies_nonlinearity():
     x = sample_class(spec, 50, seed=5)
     # mean + |g| is at least the mean everywhere.
     assert np.all(x >= 10.0)
+
+
+def test_relu_sample_is_the_positive_part_of_the_identity_sample():
+    factor = np.linalg.cholesky(toeplitz_covariance(0.5, 4))
+    plain, relu = (GeneratorSpec("lipschitz-of-gaussian", np.zeros(4), factor, f)
+                   for f in ("identity", "relu"))
+    x = sample_class(plain, 100, seed=5)
+    np.testing.assert_array_equal(sample_class(relu, 100, seed=5), np.maximum(x, 0.0))
 
 
 def test_empirical_spectrum_trace_identity(rng):
