@@ -270,7 +270,6 @@ def quadratic_form_check(
     A: np.ndarray,
     trials: int,
     seed: int,
-    second_moment: np.ndarray | None = None,
 ) -> QuadFormCheck:
     """Statistics of Z^T A Z against the pivot tr(A E[Z Z^T])."""
     A = np.asarray(A, dtype=float)
@@ -279,9 +278,7 @@ def quadratic_form_check(
     _check_symmetric(A, "A")
     if trials < 2:
         raise ParameterError(f"need at least 2 trials, got {trials}")
-    if second_moment is None:
-        second_moment = class_model_of(spec, 1).sigma
-    pivot = float(np.sum(A * second_moment))
+    pivot = float(np.sum(A * class_model_of(spec, 1).sigma))
     Z = sample_class(spec, trials, seed)
     vals = np.einsum("ji,jk,ki->i", Z, A, Z, optimize=True)
     mean = float(vals.mean())

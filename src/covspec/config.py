@@ -10,8 +10,9 @@ command reads it: one table gives the keys each section takes and the cast
 of each from text, and a [conclab.<check>] section takes the check's
 keyword-only parameters. An unknown section or key, or a value its cast
 rejects, is a ParameterError naming the file and section; an error about a
-class's structure (judged here) or PSD rule (where a command decomposes it)
-names them too. Range checks stay with the functions that use the values.
+class's structure or its law (the generator, latent and nonlinearity keys,
+judged together here) or its PSD rule (where a command decomposes it) names
+them too. Range checks stay with the functions that use the values.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .conc_lab import CHECKS
 from .errors import DataError, ParameterError, ShapeError
 from .io import read_matrix
 from .model import ClassModel, Mixture, _check_class, build_mixture, toeplitz_covariance
-from .sampler import GeneratorSpec, _class_spec
+from .sampler import GeneratorSpec, _check_law, _class_spec
 
 __all__ = ["ClassConfig", "ExperimentConfig", "load_config", "parse_grid"]
 
@@ -281,7 +282,9 @@ def load_config(path: str) -> ExperimentConfig:
             sigma = _parse_sigma(values.pop("sigma"), p, base_dir, where)
             mean = _parse_mean(values.pop("mean", "zeros"), base_dir, where)
             sigma, mean = _in_section(where, _check_class, sigma, mean)
-            class_configs.append(ClassConfig(label, where, sigma=sigma, mean=mean, **values))
+            config = ClassConfig(label, where, sigma=sigma, mean=mean, **values)
+            _in_section(where, _check_law, config.generator, config.nonlinearity, config.latent)
+            class_configs.append(config)
         if n_total is None:
             n_total = sum(c.n_l for c in class_configs)
 

@@ -143,7 +143,7 @@ class ClassModel:
     def rank(self) -> int:
         """Numerical rank of sigma: eigenvalues above _RTOL * max eigenvalue."""
         w = self.eigenvalues
-        top = w[-1] if w.size else 0.0
+        top = w[-1]
         if top <= 0.0:
             return 0
         return int(np.count_nonzero(w > _RTOL * top))
@@ -168,8 +168,6 @@ class Mixture:
             raise ShapeError(
                 f"class counts sum to {total}, expected total n = {self.n}"
             )
-        if self.n < 1:
-            raise ParameterError("n must be positive")
         object.__setattr__(self, "classes", tuple(self.classes))
         object.__setattr__(self, "n", int(self.n))
 

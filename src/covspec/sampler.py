@@ -10,14 +10,13 @@ global index, d and law, never on how calls split or interleave the
 columns, so a (seed, spec) pair pins the data matrix byte for byte. This is
 the second stream version; the first keyed one stream per column by (s, j).
 
-Three generator kinds are supported:
+Three generator kinds are supported, each with the laws ``_LAWS`` admits:
 
 - ``gaussian``: y = mean + factor g, with g standard normal.
 - ``lipschitz-of-gaussian``: y = mean + f(factor g) entrywise, f a fixed
-  1-Lipschitz nonlinearity (tanh, relu, abs, or identity).
-- ``bounded-affine``: y = mean + factor u with u i.i.d. symmetric entries
-  in [-1, 1]; default is uniform signs (+-1), a uniform law on [-1, 1] is
-  available and is rescaled by sqrt(3) inside the affine map so the latent
+  1-Lipschitz map of ``NONLINEARITIES``.
+- ``bounded-affine``: y = mean + factor u with u i.i.d. signs (+-1, the
+  default) or uniform on [-1, 1] and rescaled by sqrt(3), so the latent
   second moment is the identity in both cases.
 """
 
@@ -50,8 +49,15 @@ __all__ = [
     "principal_sqrt",
 ]
 
-KINDS = ("gaussian", "lipschitz-of-gaussian", "bounded-affine")
-NONLINEARITIES = ("identity", "tanh", "relu", "abs")
+# Each generator kind's latent laws, its default first, and its nonlinearities.
+_LAWS = {
+    "gaussian": (("standard-normal",), ("identity",)),
+    "lipschitz-of-gaussian": (("standard-normal",), ("identity", "tanh", "relu", "abs")),
+    "bounded-affine": (("rademacher", "uniform"), ("identity",)),
+}
+KINDS = tuple(_LAWS)
+NONLINEARITIES = {"identity": None, "tanh": np.tanh, "abs": np.abs,
+                  "relu": lambda core: np.maximum(core, 0.0)}
 LATENTS = ("standard-normal", "rademacher", "uniform")
 
 _CHUNK = 64
@@ -68,6 +74,22 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, _U64)[0])
 
 
+def _check_law(kind: str, nonlinearity: str, latent: str | None) -> str:
+    """The latent law of a generator judged by the _LAWS table, the kind's
+    default when ``latent`` is None; an error names the field and its values."""
+    if kind not in _LAWS:
+        raise ParameterError(f"generator must be one of {list(_LAWS)}, got {kind!r}")
+    latents, nonlinearities = _LAWS[kind]
+    latent = latents[0] if latent is None else latent
+    if latent not in latents:
+        raise ParameterError(f"latent of {kind} must be one of {list(latents)}, got {latent!r}")
+    if nonlinearity not in nonlinearities:
+        raise ParameterError(
+            f"nonlinearity of {kind} must be one of {list(nonlinearities)}, got {nonlinearity!r}"
+        )
+    return latent
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorSpec:
     """Recipe for drawing one class's columns."""
@@ -79,10 +101,7 @@ class GeneratorSpec:
     latent: str | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ParameterError(f"unknown generator kind {self.kind!r}")
-        if self.nonlinearity not in NONLINEARITIES:
-            raise ParameterError(f"unknown nonlinearity {self.nonlinearity!r}")
+        latent = _check_law(self.kind, self.nonlinearity, self.latent)
         mean = np.asarray(self.mean, dtype=float)
         factor = np.asarray(self.factor, dtype=float)
         if factor.ndim != 2 or factor.shape[0] < 1:
@@ -93,21 +112,6 @@ class GeneratorSpec:
             )
         if not (np.isfinite(mean).all() and np.isfinite(factor).all()):
             raise DataError("generator spec entries must be finite")
-        latent = self.latent
-        if latent is None:
-            latent = "rademacher" if self.kind == "bounded-affine" else "standard-normal"
-        if latent not in LATENTS:
-            raise ParameterError(f"unknown latent law {latent!r}")
-        if self.kind == "bounded-affine":
-            if latent == "standard-normal":
-                raise ParameterError("bounded-affine requires a bounded latent law")
-            if self.nonlinearity != "identity":
-                raise ParameterError("bounded-affine is affine: nonlinearity must be identity")
-        else:
-            if latent != "standard-normal":
-                raise ParameterError(f"{self.kind} requires the standard-normal latent")
-        if self.kind == "gaussian" and self.nonlinearity != "identity":
-            raise ParameterError("gaussian kind takes the identity nonlinearity")
         object.__setattr__(self, "mean", _freeze(mean))
         object.__setattr__(self, "factor", _freeze(factor))
         object.__setattr__(self, "latent", latent)
@@ -193,7 +197,7 @@ def gaussian_class_spec(sigma: np.ndarray, mean: np.ndarray | None = None) -> Ge
 def bounded_class_spec(
     sigma: np.ndarray,
     mean: np.ndarray | None = None,
-    latent: str = "rademacher",
+    latent: str | None = None,
 ) -> GeneratorSpec:
     """Bounded-affine generator with the same second moment as the Gaussian one."""
     return _class_spec("bounded-affine", sigma, mean, latent=latent)
@@ -271,12 +275,9 @@ def sample_class(
         core = spec.factor @ latent
     else:
         core = spec.diagonal[:, None] * latent
-    if spec.nonlinearity == "tanh":
-        core = np.tanh(core)
-    elif spec.nonlinearity == "relu":
-        core = np.maximum(core, 0.0)
-    elif spec.nonlinearity == "abs":
-        core = np.abs(core)
+    nonlinearity = NONLINEARITIES[spec.nonlinearity]
+    if nonlinearity is not None:
+        core = nonlinearity(core)
     return spec.mean[:, None] + core
 
 

@@ -612,3 +612,83 @@ def test_invalid_class_moments_exit_two_under_every_command(tmp_path, capsys, co
     err = capsys.readouterr().err
     assert err.startswith("error:") and "exp.ini [class.a]: " in err and message in err
     assert not out.exists() or not any(out.iterdir())
+
+
+# (lines added to [class.a], message naming the field and the values it allows).
+_BAD_LAWS = {
+    "unknown-kind": (["generator = nonsense"], "generator must be one of ['gaussian', "),
+    "unknown-nonlinearity": (
+        ["generator = lipschitz-of-gaussian", "nonlinearity = sigmoid"],
+        "nonlinearity of lipschitz-of-gaussian must be one of ['identity', ",
+    ),
+    "unknown-latent": (
+        ["latent = poisson"],
+        "latent of gaussian must be one of ['standard-normal'], got 'poisson'",
+    ),
+    "gaussian-tanh": (
+        ["generator = gaussian", "nonlinearity = tanh"],
+        "nonlinearity of gaussian must be one of ['identity'], got 'tanh'",
+    ),
+    "bounded-normal": (
+        ["generator = bounded-affine", "latent = standard-normal"],
+        "latent of bounded-affine must be one of ['rademacher', 'uniform']",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [pytest.param(command, case, id=f"{command}-{case}")
+     for command in ("predict", "simulate", "compare", "conclab") for case in _BAD_LAWS],
+)
+def test_bad_generator_laws_exit_two_under_every_command(tmp_path, capsys, command, case):
+    # A class's law is judged when the config loads, so a command that never
+    # samples the class rejects it as simulate does.
+    lines, message = _BAD_LAWS[case]
+    text = BASE.replace("sigma = identity", "\n    ".join(["sigma = identity", *lines]))
+    cfg_path = write_config(tmp_path, text + CONCLAB)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{cfg_path} [class.a]: " in err and message in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_compare_nonconvergence_exits_one_and_still_writes(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, BASE + "    max_iter = 1\n")
+    out = tmp_path / "out"
+    assert main(["compare", "--config", cfg_path, "--out", str(out)]) == 1
+    assert "compare: one or more solves did not converge" in capsys.readouterr().err
+    comments, header, rows = read_csv_file(out / "compare.csv")
+    assert list(comments) == ["sup_err", "hist_l1", "trials", "seed"]
+    assert header == ["z", "m_emp_mean", "m_emp_std", "m_pred", "abs_err"]
+    assert rows.shape == (2, 5)
+
+
+def test_predict_on_a_zero_covariance_class(tmp_path):
+    # Every eigenvalue is zero: the spectrum is the atom at zero alone, the
+    # default grid falls back to [1e-6, 1] and m(z) = 1/z.
+    cfg_path = write_config(
+        tmp_path,
+        """
+        [mixture]
+        p = 4
+        classes = a
+
+        [class.a]
+        n_l = 8
+        sigma = zero
+
+        [predict]
+        z_grid = 0.5 1 4
+        """,
+    )
+    assert load_config(cfg_path).mixture().classes[0].rank() == 0
+    out = tmp_path / "out"
+    assert main(["predict", "--config", cfg_path, "--out", str(out)]) == 0
+    comments, _, dens = read_csv_file(out / "density.csv")
+    assert float(comments["atom_at_zero"]) == 1.0
+    assert dens.shape == (200, 3) and np.all(dens[:, 2] == 1.0)
+    np.testing.assert_array_equal(dens[:, 0], np.linspace(1e-6, 1.0, 200))
+    _, _, m = read_csv_file(out / "stieltjes.csv")
+    np.testing.assert_allclose(m[:, 1], 1.0 / m[:, 0], rtol=1e-12)

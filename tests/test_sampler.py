@@ -24,6 +24,7 @@ from covspec import (
 )
 from covspec.sampler import (
     LATENTS,
+    _LAWS,
     _latent_block,
     _trial_samples,
     derive_seed,
@@ -117,6 +118,39 @@ def test_generator_spec_rejects_invalid_combinations(kwargs):
     base = dict(mean=np.zeros(2), factor=np.eye(2))
     with pytest.raises(ParameterError):
         GeneratorSpec(**{**base, **kwargs})
+
+
+# Every (kind, latent, nonlinearity) row the law table admits.
+_VALID_LAWS = [
+    ("gaussian", "standard-normal", "identity"),
+    ("lipschitz-of-gaussian", "standard-normal", "identity"),
+    ("lipschitz-of-gaussian", "standard-normal", "tanh"),
+    ("lipschitz-of-gaussian", "standard-normal", "relu"),
+    ("lipschitz-of-gaussian", "standard-normal", "abs"),
+    ("bounded-affine", "rademacher", "identity"),
+    ("bounded-affine", "uniform", "identity"),
+]
+_PUSHFORWARD = {"identity": lambda x: x, "tanh": np.tanh, "abs": np.abs,
+                "relu": lambda x: np.maximum(x, 0.0)}
+
+
+def test_law_table_admits_exactly_the_seven_valid_rows():
+    rows = [(kind, latent, f) for kind, (latents, fs) in _LAWS.items()
+            for latent in latents for f in fs]
+    assert sorted(rows) == sorted(_VALID_LAWS)
+
+
+@pytest.mark.parametrize("kind, latent, nonlinearity", _VALID_LAWS)
+def test_every_valid_law_constructs_and_samples(kind, latent, nonlinearity):
+    factor = np.linalg.cholesky(toeplitz_covariance(0.5, 3))
+    spec = GeneratorSpec(kind, np.zeros(3), factor, nonlinearity, latent)
+    assert (spec.kind, spec.latent, spec.nonlinearity) == (kind, latent, nonlinearity)
+    x = sample_class(spec, 70, seed=4, column_offset=30)
+    assert x.shape == (3, 70) and np.isfinite(x).all()
+    if latent == "standard-normal":
+        # The same latent stream as the Gaussian class, pushed through f.
+        plain = sample_class(GeneratorSpec("gaussian", np.zeros(3), factor), 70, 4, 30)
+        np.testing.assert_array_equal(x, _PUSHFORWARD[nonlinearity](plain))
 
 
 def test_generator_spec_shape_checks():
