@@ -69,7 +69,7 @@ def _predictions(config: ExperimentConfig, name: str, mixture, default_lambdas):
 
 def _auto_lambda_grid(mixture, count: int) -> np.ndarray:
     """Locate the support by a coarse scan, then lay a linear grid over it."""
-    top = max(float(c.eigenvalues.max(initial=0.0)) for c in mixture.classes)
+    top = max(float(w.max()) for w in mixture.class_spectra())
     if top <= 0.0:
         return np.linspace(1e-6, 1.0, count)
     bound = 4.0 * (1.0 + np.sqrt(mixture.gamma)) ** 2 * top

@@ -28,7 +28,7 @@ from .fixed_point import (
     _coefficients,
     _trace_backend,
 )
-from .model import Mixture, _combine, _data_matrix, _gram
+from .model import Mixture, _combine, _data_matrix, _gram, _rank
 
 __all__ = [
     "SpectralPrediction",
@@ -116,7 +116,7 @@ def atom_at_zero(mixture: Mixture) -> float:
     least p minus that many eigenvalues of the sample covariance vanish
     exactly. For full-rank classes this reduces to max(0, 1 - 1/gamma).
     """
-    reachable = sum(min(c.n_l, c.rank()) for c in mixture.classes)
+    reachable = sum(min(c.n_l, _rank(w)) for c, w in zip(mixture.classes, mixture.class_spectra()))
     return max(0, mixture.p - reachable) / mixture.p
 
 

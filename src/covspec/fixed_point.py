@@ -151,11 +151,11 @@ class _DenseTraces:
         self.sigmas = [c.sigma for c in mixture.classes]
 
     def traces(self, coeff: np.ndarray, shift):
-        # The resolvent is assembled explicitly because traces against
-        # arbitrary class matrices are needed. With A_h = Sigma_h Q,
-        # tr(A_l A_h) is the sum of A_l * A_h^T.
+        # The resolvent is explicit: traces against arbitrary class matrices are needed.
+        # Each A_h = Sigma_h Q is one real product with the float view of the C-ordered Q
+        # (a real Q is its own view), and tr(A_l A_h) is the sum of A_l * A_h^T.
         resolvent = np.linalg.inv(_combine(self.sigmas, coeff, shift))
-        products = [sigma @ resolvent for sigma in self.sigmas]
+        products = [(sigma @ resolvent.view(float)).view(resolvent.dtype) for sigma in self.sigmas]
         traces = np.array([np.trace(a) for a in products])
         cross = np.array([[np.sum(a * b.T) for b in products] for a in products])
         return traces, cross, np.trace(resolvent) / len(resolvent)

@@ -7,9 +7,7 @@ Sigma_l). The objects here are purely statistical descriptions; sampling
 lives in :mod:`covspec.sampler` and spectral predictions in
 :mod:`covspec.fixed_point` / :mod:`covspec.equivalent`.
 
-The aspect ratio gamma = p/n and its shifted companion gamma_bar = 1 + gamma
-are cached on the mixture since every error bound downstream is expressed in
-terms of them.
+The aspect ratio gamma = p/n is a property of the mixture, computed on access.
 """
 
 from __future__ import annotations
@@ -73,11 +71,18 @@ def _check_symmetric(matrix: np.ndarray, name: str = "sigma") -> None:
         raise ShapeError(f"{name} must be exactly symmetric, max|s_ij - s_ji| = {asym:g}")
 
 
-def _check_psd(w: np.ndarray, sigma: np.ndarray) -> None:
-    """The one PSD rule for a class: the ascending eigenvalues ``w`` of
-    Sigma - mean mean^T may not fall below -_RTOL * max|Sigma_ij|."""
-    if w[0] < -_RTOL * max(np.abs(sigma).max(), 1e-300):
-        raise DataError(f"sigma - mean mean^T has eigenvalue {w[0]:g}, below the PSD slack")
+def _check_psd(centered: np.ndarray, sigma: np.ndarray) -> None:
+    """The one PSD rule for a class: lambda_min(Sigma - mean mean^T) >= -_RTOL max|Sigma_ij|."""
+    tau = _RTOL * max(np.abs(sigma).max(), 1e-300)
+    try:
+        np.linalg.cholesky(centered + tau * np.eye(len(centered)))
+    except np.linalg.LinAlgError:
+        raise DataError(f"sigma - mean mean^T has an eigenvalue below the PSD slack -{tau:g}")
+
+
+def _rank(w: np.ndarray) -> int:
+    """Numerical rank from eigenvalues in any order: the count above _RTOL * the top one."""
+    return int(np.count_nonzero(w > _RTOL * w.max()))
 
 
 def _gram(X: np.ndarray, n: int, shift: float = 0.0) -> np.ndarray:
@@ -119,11 +124,7 @@ class ClassModel:
         sigma, mean = _check_class(self.sigma, self.mean)
         if not isinstance(self.n_l, (int, np.integer)) or self.n_l < 1:
             raise ParameterError(f"n_l must be a positive integer, got {self.n_l!r}")
-        centered = sigma - np.outer(mean, mean) if mean.any() else sigma
-        w = np.linalg.eigvalsh(centered)
-        _check_psd(w, sigma)
-        if centered is sigma:
-            object.__setattr__(self, "eigenvalues", _freeze(w))
+        _check_psd(sigma - np.outer(mean, mean), sigma)
         object.__setattr__(self, "sigma", _freeze(sigma))
         object.__setattr__(self, "mean", _freeze(mean))
         object.__setattr__(self, "n_l", int(self.n_l))
@@ -137,16 +138,12 @@ class ClassModel:
 
     @cached_property
     def eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of sigma, computed once."""
+        """Ascending eigenvalues of sigma, computed once on first use."""
         return _freeze(np.linalg.eigvalsh(self.sigma))
 
     def rank(self) -> int:
-        """Numerical rank of sigma: eigenvalues above _RTOL * max eigenvalue."""
-        w = self.eigenvalues
-        top = w[-1]
-        if top <= 0.0:
-            return 0
-        return int(np.count_nonzero(w > _RTOL * top))
+        """Numerical rank of sigma."""
+        return _rank(self.eigenvalues)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,13 +203,15 @@ class Mixture:
     def spectral(self) -> np.ndarray | None:
         """Read-only (k, p) class eigenvalues in one joint eigenbasis, or None.
 
-        Computed lazily once. One class is its own record: ClassModel.eigenvalues.
-        Otherwise a basis from a generic positive combination of the classes is
-        certified by checking that it diagonalizes every Sigma_l. That check is
-        the commutation test (a commutator probe only rejects early); its failure
-        (non-commuting classes, or a degenerate combination) gives None.
+        One class is its own record, ClassModel.eigenvalues. Otherwise it is computed
+        once by :func:`_joint_eigenbasis`, None unless that certifies a joint basis.
         """
         return self._spectral
+
+    def class_spectra(self) -> list[np.ndarray]:
+        """Each class's eigenvalues in any order: the record's rows, else ClassModel's."""
+        eigs = self.spectral()
+        return [c.eigenvalues for c in self.classes] if eigs is None else list(eigs)
 
     @cached_property
     def _spectral(self) -> np.ndarray | None:
@@ -224,8 +223,13 @@ class Mixture:
 def _joint_eigenbasis(sigmas) -> np.ndarray | None:
     """Read-only (k, p) eigenvalues of ``sigmas`` in a certified joint eigenbasis, or None.
 
-    Early reject: |C x|_inf <= max|C_ij| |x|_1, so probing each commutator C on
-    one fixed x at O(p^2) cost fails only when max|C_ij| > _RTOL s_a s_b p.
+    With s_l = max|Sigma_l,ij|. Early reject: |C x|_inf <= max|C_ij| |x|_1, so probing
+    each commutator C on one fixed x at O(p^2) cost fails only when max|C_ij| > _RTOL s_a s_b p.
+
+    Certificate, one product per class: V, the eigenbasis of a generic combination, is accepted
+    when every r_b = Sigma_l v_b - d_b v_b, d_b = v_b^T Sigma_l v_b, has ||r_b / s_l||_2 <= _RTOL
+    (scaled first, so no square underflows). An off-diagonal entry of V^T Sigma_l V is
+    v_a^T r_b, of size at most ||r_b||_2: never looser than bounding those entries by _RTOL s_l.
     """
     p = sigmas[0].shape[0]
     k = len(sigmas)
@@ -238,18 +242,14 @@ def _joint_eigenbasis(sigmas) -> np.ndarray | None:
                 return None
     # Generic combination: irrational-looking weights break ties between
     # classes so the combination is simple whenever one exists.
-    combo = np.zeros_like(sigmas[0])
-    for j, s in enumerate(sigmas):
-        combo += (1.0 + (j + 1) / np.pi) / scales[j] * s
-    _, v = np.linalg.eigh(combo)
+    weights = [(1.0 + (j + 1) / np.pi) / s for j, s in enumerate(scales)]
+    _, v = np.linalg.eigh(_combine(sigmas, weights))
     eigs = np.empty((k, p))
     for j, s in enumerate(sigmas):
-        m = v.T @ s @ v
-        d = np.diagonal(m).copy()
-        off = np.abs(m - np.diag(d)).max()
-        if off > _RTOL * scales[j]:
+        sv = s @ v
+        eigs[j] = np.einsum("ib,ib->b", v, sv)
+        if np.linalg.norm((sv - v * eigs[j]) / scales[j], axis=0).max() > _RTOL:
             return None
-        eigs[j] = d
     return _freeze(eigs)
 
 

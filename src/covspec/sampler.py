@@ -172,8 +172,8 @@ def principal_sqrt(matrix: np.ndarray, sigma: np.ndarray | None = None) -> np.nd
     """
     matrix = np.asarray(matrix, dtype=float)
     _check_symmetric(matrix)
+    _check_psd(matrix, matrix if sigma is None else sigma)
     w, v = np.linalg.eigh(matrix)
-    _check_psd(w, matrix if sigma is None else sigma)
     floor = _RTOL * max(w[-1], 0.0)
     w = np.where(w > floor, w, 0.0)
     return (v * np.sqrt(w)) @ v.T

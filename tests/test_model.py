@@ -16,8 +16,10 @@ from covspec import (
 )
 from covspec.cli import cmd_predict
 from covspec.config import load_config
+from covspec.equivalent import atom_at_zero
 from covspec.fixed_point import _DenseTraces, _SpectralTraces
 from covspec.model import _joint_eigenbasis
+from covspec.sampler import principal_sqrt
 
 
 def test_toeplitz_entries():
@@ -275,7 +277,9 @@ class _Counted:
 
 @pytest.fixture
 def counted(monkeypatch):
-    wrapped = {name: _Counted(getattr(np.linalg, name)) for name in ("eigvalsh", "eigh")}
+    wrapped = {
+        name: _Counted(getattr(np.linalg, name)) for name in ("eigvalsh", "eigh", "cholesky")
+    }
     for name, fn in wrapped.items():
         monkeypatch.setattr(np.linalg, name, fn)
     return wrapped
@@ -442,14 +446,17 @@ epsilon = 0.05
 """, "two.ini")
     (tmp_path / "out").mkdir()
     assert cmd_predict(config, str(tmp_path / "out")) == 0
-    assert counted["eigvalsh"].calls == 2
+    # One Cholesky per class for the PSD rule and the joint eigh; the class
+    # eigenvalues are the rows of the record.
+    assert counted["cholesky"].calls == 2
+    assert counted["eigvalsh"].calls == 0
     assert counted["eigh"].calls == 1
 
 
-@pytest.mark.parametrize("mean, eigvalsh_calls", [("zeros", 1), ("file mean.csv", 2)])
+@pytest.mark.parametrize("mean, eigvalsh_calls", [("zeros", 1), ("file mean.csv", 1)])
 def test_one_class_predict_runs_no_eigh(tmp_path, counted, mean, eigvalsh_calls):
-    # The record of one class is its ClassModel.eigenvalues: the PSD check's
-    # eigvalsh for a zero mean, one more eigvalsh of sigma otherwise.
+    # The record of one class is its ClassModel.eigenvalues, one eigvalsh of
+    # sigma with or without a mean; the PSD rule is a Cholesky.
     (tmp_path / "mean.csv").write_text("0.5\n" + "0\n" * 19)
     config = _predict_config(tmp_path, f"""
 [mixture]
@@ -469,6 +476,7 @@ epsilon = 0.05
     (tmp_path / "out").mkdir()
     assert cmd_predict(config, str(tmp_path / "out")) == 0
     assert counted["eigvalsh"].calls == eigvalsh_calls
+    assert counted["cholesky"].calls == 1
     assert counted["eigh"].calls == 0
 
 
@@ -482,10 +490,123 @@ def test_nonzero_mean_eigenvalues_are_those_of_sigma(counted):
     mean = np.full(4, 0.5)
     model = ClassModel(sigma=np.eye(4) + np.outer(mean, mean), mean=mean, n_l=3)
     np.testing.assert_array_equal(model.eigenvalues, np.linalg.eigvalsh(model.sigma))
-    assert counted["eigvalsh"].calls == 3  # check, eigenvalues, reference
+    assert counted["cholesky"].calls == 1  # check
+    assert counted["eigvalsh"].calls == 2  # eigenvalues, reference
 
 
 def test_nonzero_mean_psd_check_uses_the_centered_matrix():
     # sigma is PSD but sigma - mean mean^T is not.
     with pytest.raises(DataError, match="sigma - mean mean"):
         ClassModel(sigma=np.diag([1.0, 4.0]), mean=np.array([1.5, 0.0]), n_l=1)
+
+
+def test_non_commuting_predict_runs_one_eigvalsh_per_class(tmp_path, counted):
+    # Without a joint record each class's rank and top eigenvalue come from
+    # its own eigvalsh of sigma, once, whatever its mean.
+    (tmp_path / "mean.csv").write_text("0.5\n" + "0\n" * 19)
+    config = _predict_config(tmp_path, """
+[mixture]
+p = 20
+n = 30
+classes = a b
+
+[class.a]
+n_l = 15
+sigma = toeplitz a=0.3 scale=2
+mean = file mean.csv
+
+[class.b]
+n_l = 15
+sigma = toeplitz a=0.6 scale=2
+mean = file mean.csv
+
+[predict]
+z_grid = 0.5 2
+epsilon = 0.05
+""", "apart.ini")
+    (tmp_path / "out").mkdir()
+    assert cmd_predict(config, str(tmp_path / "out")) == 0
+    assert counted["cholesky"].calls == 2
+    assert counted["eigvalsh"].calls == 2
+    assert config.mixture().spectral() is None
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-300, 1e150])
+def test_certificate_judges_the_scaled_residual_at_extreme_scales(scale):
+    # The commutator probe underflows at tiny scales and passes any pair, so
+    # the certificate alone rejects; squaring an unscaled residual there
+    # would underflow to 0 and certify a pair that does not commute.
+    assert _joint_eigenbasis([scale * s for s in _random_pair(30, 0)]) is None
+    t = toeplitz_covariance(0.3, 30)
+    assert _joint_eigenbasis([scale * t, scale * _symmetric(t @ t)]) is not None
+
+
+def _rotated_with_lambda_min(lam_over_tau, mean, scale=1.0):
+    """Exactly symmetric sigma, in a rotated basis, with sigma - mean mean^T
+    having the eigenvalue lam_over_tau * tau, tau = 1e-10 max|sigma_ij|."""
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((6, 6)))
+    base = _symmetric((q * np.array([0.0, 0.5, 1.0, 2.0, 3.0, 4.0])) @ q.T) + np.outer(mean, mean)
+    tau = 1e-10 * np.abs(base).max()
+    sigma = _symmetric(base + lam_over_tau * tau * np.outer(q[:, 0], q[:, 0]))
+    return scale * sigma, np.sqrt(scale) * mean
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("mean", [np.zeros(6), np.linspace(-0.3, 0.4, 6)], ids=["zero", "mean"])
+@pytest.mark.parametrize("lam_over_tau, accepted", [(-2.0, False), (-0.5, True)])
+def test_cholesky_psd_verdict_at_the_slack(lam_over_tau, accepted, mean, scale):
+    # The rule is lambda_min(sigma - mean mean^T) >= -tau; its verdict is the
+    # same at every scale and the same for ClassModel and principal_sqrt.
+    sigma, mean = _rotated_with_lambda_min(lam_over_tau, mean, scale)
+    centered = sigma - np.outer(mean, mean)
+    if accepted:
+        ClassModel(sigma=sigma, mean=mean, n_l=2)
+        principal_sqrt(centered, sigma)
+        return
+    for build in (lambda: ClassModel(sigma=sigma, mean=mean, n_l=2),
+                  lambda: principal_sqrt(centered, sigma)):
+        with pytest.raises(DataError, match="below the PSD slack"):
+            build()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: estimate_class_model(np.random.default_rng(5).standard_normal((40, 10)), n_l=10),
+    lambda: ClassModel(sigma=np.eye(2), mean=np.array([1.0, 0.0]), n_l=1),
+    lambda: ClassModel(sigma=np.zeros((4, 4)), mean=np.zeros(4), n_l=8),
+], ids=["rank-deficient-sample", "boundary-mean", "zero"])
+def test_cholesky_psd_verdict_accepts_singular_classes(make):
+    model = make()
+    centered = model.sigma - np.outer(model.mean, model.mean)
+    assert np.linalg.eigvalsh(centered)[0] < 1e-12
+
+
+def _commuting_classes():
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((12, 12)))
+    d = np.arange(1.0, 13.0)
+    low = np.where(d > 8, d, 0.0)  # rank 4
+    rotated = [_symmetric((q * w) @ q.T) for w in (d, low, np.sqrt(d))]
+    t = toeplitz_covariance(0.3, 12)
+    return {
+        "two, p = 2n": ([np.eye(12), t], [3, 3]),
+        "three toeplitz": ([np.eye(12), t, _symmetric(t @ t)], [10, 10, 10]),
+        "two, rank-deficient": (rotated[:2], [6, 10]),
+        "three, rank-deficient": (rotated, [2, 3, 3]),
+        "zero class": ([np.zeros((12, 12)), t], [4, 8]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_commuting_classes()))
+def test_record_rows_are_the_class_spectra_and_give_the_same_atom(name):
+    sigmas, counts = _commuting_classes()[name]
+    mix = build_mixture([ClassModel(s, np.zeros(12), n) for s, n in zip(sigmas, counts)],
+                        sum(counts))
+    rows = mix.spectral()
+    assert rows is not None
+    top = max(np.linalg.eigvalsh(s)[-1] for s in sigmas)
+    for row, model in zip(rows, mix.classes):
+        np.testing.assert_allclose(np.sort(row), np.linalg.eigvalsh(model.sigma),
+                                   rtol=0, atol=1e-12 * top)
+    by_eigvalsh = max(0, mix.p - sum(min(c.n_l, c.rank()) for c in mix.classes)) / mix.p
+    assert atom_at_zero(mix) == by_eigvalsh
+    if name == "two, p = 2n":
+        assert atom_at_zero(mix) == 0.5
