@@ -27,7 +27,7 @@ import numpy as np
 from .conc_lab import CHECKS
 from .errors import DataError, ParameterError, ShapeError
 from .io import read_matrix
-from .model import ClassModel, Mixture, _check_class, build_mixture, toeplitz_covariance
+from .model import ClassModel, Mixture, _check_class, _flush, build_mixture, toeplitz_covariance
 from .sampler import GeneratorSpec, _check_law, _class_spec
 
 __all__ = ["ClassConfig", "ExperimentConfig", "load_config", "parse_grid"]
@@ -146,9 +146,9 @@ def _parse_sigma(value: str, p: int | None, base_dir: str, where: str) -> np.nda
                     raise ValueError("toeplitz power must be >= 1")
                 out = scale * np.linalg.matrix_power(toeplitz_covariance(a, p), power)
                 out = (out + out.T) / 2.0
-            # Entries below the smallest normal double are stored as 0, after
-            # scale: a scale below 1 can push a normal entry under that bound.
-            out[np.abs(out) < np.finfo(float).tiny] = 0.0
+            # One relative flush (model._flush) of the stored matrix, after scale
+            # and power, so the stored recipe scales exactly with a power of 2.
+            _flush(out)
         except KeyError as exc:
             raise ParameterError(f"{where}: sigma recipe missing option {exc}") from None
         except ValueError as exc:

@@ -32,6 +32,17 @@ __all__ = [
 _RTOL = 1e-10
 
 
+def _flush(a: np.ndarray) -> np.ndarray:
+    """Set every |a_ij| < max(tiny, 2^-511 max|a|) to 0 in place and return ``a``.
+
+    2^-511 = sqrt(tiny). Once max|a| >= 1 no two kept entries multiply to a subnormal; the
+    dropped mass is below p 2^-511 max|a|; above the tiny floor it commutes with scaling by 2^k.
+    """
+    tiny = np.finfo(float).tiny
+    a[np.abs(a) < max(tiny, np.sqrt(tiny) * np.abs(a).max())] = 0.0
+    return a
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     """Read-only float copy of ``a``."""
     out = np.array(a, dtype=float, copy=True)
@@ -181,21 +192,9 @@ class Mixture:
         return self.p / self.n
 
     @property
-    def gamma_bar(self) -> float:
-        return 1.0 + self.gamma
-
-    @property
     def weights(self) -> np.ndarray:
         """Class proportions n_l / n."""
         return np.array([c.n_l / self.n for c in self.classes])
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.array([c.n_l for c in self.classes], dtype=int)
-
-    def sigma(self) -> np.ndarray:
-        """Population-level second moment sum_l (n_l/n) Sigma_l."""
-        return _combine([c.sigma for c in self.classes], self.weights)
 
     def class_traces(self) -> np.ndarray:
         return np.array([c.trace() for c in self.classes])
@@ -257,17 +256,17 @@ def toeplitz_covariance(a: float, p: int) -> np.ndarray:
     """Symmetric Toeplitz matrix with entries a^(|i-j|+1).
 
     The first row reads (a, a^2, ..., a^p); for |a| < 1 the matrix is
-    diagonally dominant, hence positive definite, once a > 0. Entries below
-    the smallest normal double (about 2.2e-308) are stored as 0, so no
-    product on the matrix runs in subnormal arithmetic.
+    diagonally dominant, hence positive definite, once a > 0. The row goes
+    through :func:`_flush`: entries below 2^-511 a are stored as 0, so two
+    kept entries multiply to at least a^2 tiny, below tiny only where both
+    sit at the very end of the row.
     """
     if not 0 < a < 1:
         raise ParameterError(f"toeplitz parameter must lie in (0, 1), got {a}")
     if not isinstance(p, (int, np.integer)) or p < 1:
         raise ParameterError(f"dimension must be a positive integer, got {p!r}")
     idx = np.arange(p)
-    row = a ** (idx + 1.0)
-    row[row < np.finfo(float).tiny] = 0.0
+    row = _flush(a ** (idx + 1.0))
     return row[np.abs(idx[:, None] - idx[None, :])]
 
 

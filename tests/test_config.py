@@ -104,6 +104,25 @@ def test_sigma_recipes_hold_no_subnormal_entry(tmp_path, p, recipe):
         """))
     sigma = np.abs(cfg.class_configs[0].sigma)
     assert not ((sigma > 0) & (sigma < np.finfo(float).tiny)).any()
+    assert (sigma[sigma > 0] >= 2.0**-511 * sigma.max()).all()
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("k", [-500, -100, 100, 500])
+def test_stored_toeplitz_recipe_scales_exactly_with_a_power_of_two(tmp_path, k, power):
+    # No dependence on units: scale = 2^k stores exactly 2^k times the scale-1 matrix.
+    def stored(scale):
+        return load_config(write_config(tmp_path, f"""
+            [mixture]
+            p = 500
+            classes = a
+
+            [class.a]
+            n_l = 500
+            sigma = toeplitz a=0.1 scale={scale!r} power={power}
+            """)).class_configs[0].sigma
+
+    assert stored(2.0**k).tobytes() == (2.0**k * stored(1.0)).tobytes()
 
 
 def test_sigma_and_mean_files_resolve_relative_to_config(tmp_path):
