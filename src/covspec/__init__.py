@@ -29,9 +29,6 @@ from .equivalent import (
     atom_at_zero,
     density_prediction,
     deterministic_resolvent,
-    empirical_resolvent,
-    empirical_stieltjes,
-    sigma_delta,
     stieltjes_from_delta,
     stieltjes_prediction,
 )
@@ -60,7 +57,6 @@ from .conc_lab import (
     delta_empirical,
     delta_gap_sweep,
     fit_exponential_tail,
-    norm_degree,
     observable_diameter,
     quadratic_form_check,
     resolvent_error_sweep,

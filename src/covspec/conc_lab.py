@@ -50,7 +50,6 @@ __all__ = [
     "resolvent_mean_error",
     "delta_gap_sweep",
     "resolvent_error_sweep",
-    "norm_degree",
 ]
 
 # Named 1-Lipschitz observables, each applied column-wise: a (p, m) block
@@ -431,28 +430,6 @@ def _size_sweep(sizes, gamma, seed, error) -> ScalingReport:
     errors = [error([(_isotropic(max(1, round(gamma * n))), n)], n, derive_seed(seed, n))
               for n in sizes]
     return ScalingReport.from_points(sizes, errors)
-
-
-def norm_degree(space: str, p: int, n: int | None = None, r: float | None = None) -> float:
-    """Metric degree of a normed space, the dimensional factor in tail unions.
-
-    Supported spaces: ``sup`` and ``lr`` over p-vectors (degree log p and p),
-    ``spectral`` and ``frobenius`` over p x n matrices (degree n + p and
-    n * p).
-    """
-    if p is None or p < 1:
-        raise ParameterError(f"p must be a positive integer, got {p!r}")
-    if space == "sup":
-        return float(np.log(p))
-    if space == "lr":
-        if r is not None and r < 1:
-            raise ParameterError(f"lr norms need r >= 1, got {r}")
-        return float(p)
-    if space in ("spectral", "frobenius"):
-        if n is None or n < 1:
-            raise ParameterError(f"matrix spaces need a positive n, got {n!r}")
-        return float(n + p) if space == "spectral" else float(n * p)
-    raise ParameterError(f"unknown space {space!r}")
 
 
 def _rate_records(report, size_name, slope_name, trials, seed, slope_max):

@@ -11,8 +11,10 @@ of each from text, and a [conclab.<check>] section takes the check's
 keyword-only parameters. An unknown section or key, or a value its cast
 rejects, is a ParameterError naming the file and section; an error about a
 class's structure or its law (the generator, latent and nonlinearity keys,
-judged together here) or its PSD rule (where a command decomposes it) names
-them too. Range checks stay with the functions that use the values.
+judged together here) or its PSD rule (judged once per class by ClassModel,
+where a command first reads the class) names them too, as does a [mixture] n
+other than the sum of the class counts. Range checks stay with the functions
+that use the values.
 """
 
 from __future__ import annotations
@@ -21,13 +23,15 @@ import configparser
 import inspect
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .conc_lab import CHECKS
 from .errors import DataError, ParameterError, ShapeError
 from .io import read_matrix
-from .model import ClassModel, Mixture, _check_class, _flush, build_mixture, toeplitz_covariance
+from .model import ClassModel, Mixture, _check_class, _check_counts, _flush, build_mixture
+from .model import toeplitz_covariance
 from .sampler import GeneratorSpec, _check_law, _class_spec
 
 __all__ = ["ClassConfig", "ExperimentConfig", "load_config", "parse_grid"]
@@ -54,11 +58,13 @@ class ClassConfig:
     latent: str | None = None
     nonlinearity: str = "identity"
 
+    @cached_property
     def model(self) -> ClassModel:
+        """The class judged once, by ClassModel; the mixture and the spec both read it."""
         return _in_section(self.where, ClassModel, self.sigma, self.mean, self.n_l)
 
     def spec(self) -> GeneratorSpec:
-        return _in_section(self.where, _class_spec, self.generator, self.sigma, self.mean,
+        return _in_section(self.where, _class_spec, self.generator, self.model,
                            self.nonlinearity, self.latent)
 
 
@@ -79,7 +85,7 @@ class ExperimentConfig:
     def mixture(self) -> Mixture:
         if not self.class_configs:
             raise ParameterError(f"{self.path}: no [class.*] sections defined")
-        return build_mixture([c.model() for c in self.class_configs], self.n)
+        return build_mixture([c.model for c in self.class_configs], self.n)
 
     def generator_pairs(self):
         return [(c.spec(), c.n_l) for c in self.class_configs]
@@ -285,8 +291,9 @@ def load_config(path: str) -> ExperimentConfig:
             config = ClassConfig(label, where, sigma=sigma, mean=mean, **values)
             _in_section(where, _check_law, config.generator, config.nonlinearity, config.latent)
             class_configs.append(config)
-        if n_total is None:
-            n_total = sum(c.n_l for c in class_configs)
+        counts = [c.n_l for c in class_configs]
+        n_total = sum(counts) if n_total is None else n_total
+        _in_section(f"{path} [mixture]", _check_counts, counts, n_total)
 
     ingest = typed.get("ingest", {})
     if "ingest" in typed:

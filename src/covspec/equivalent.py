@@ -28,19 +28,15 @@ from .fixed_point import (
     _coefficients,
     _trace_backend,
 )
-from .model import Mixture, _combine, _data_matrix, _gram, _rank
+from .model import Mixture, _combine, _rank
 
 __all__ = [
     "SpectralPrediction",
-    "sigma_delta",
     "deterministic_resolvent",
     "stieltjes_prediction",
     "stieltjes_from_delta",
     "density_prediction",
     "atom_at_zero",
-    "empirical_resolvent",
-    "empirical_stieltjes",
-    "resolvent_bounds",
 ]
 
 
@@ -64,13 +60,8 @@ class SpectralPrediction:
     converged: np.ndarray
 
 
-def sigma_delta(mixture: Mixture, delta) -> np.ndarray:
-    """Weighted population moment sum_l (n_l/n) Sigma_l / (1 + delta_l)."""
-    return _combine([c.sigma for c in mixture.classes], _coefficients(mixture, delta))
-
-
 def deterministic_resolvent(mixture: Mixture, delta, z: float) -> np.ndarray:
-    """Full matrix (sigma_delta + z I)^-1, symmetrized."""
+    """Full matrix (sum_l (n_l/n) Sigma_l / (1 + delta_l) + z I)^-1, symmetrized."""
     z = _check_z(z)
     coeff = _coefficients(mixture, delta)
     out = np.linalg.inv(_combine([c.sigma for c in mixture.classes], coeff, z))
@@ -161,38 +152,3 @@ def density_prediction(
         epsilon=float(epsilon),
         converged=converged,
     )
-
-
-def empirical_resolvent(X: np.ndarray, z: float) -> np.ndarray:
-    """(X X^T/n + z I)^-1 for a data matrix X of shape (p, n)."""
-    z = _check_z(z)
-    X = _data_matrix(X)
-    Q = np.linalg.inv(_gram(X, X.shape[1], z))
-    return (Q + Q.T) / 2.0
-
-
-def resolvent_bounds(X: np.ndarray, z: float, Q: np.ndarray | None = None) -> dict:
-    """Operator norms certifying the resolvent contraction bounds.
-
-    Returns ||Q||, ||Q S|| and ||Q X/sqrt(n)|| for S = X X^T/n; the three
-    are bounded by 1/z, 1 and 1/sqrt(z) respectively.
-    """
-    z = _check_z(z)
-    X = _data_matrix(X)
-    p, n = X.shape
-    if Q is None:
-        Q = empirical_resolvent(X, z)
-    elif np.shape(Q) != (p, p):
-        raise ShapeError(f"Q has shape {np.shape(Q)}, expected ({p}, {p})")
-    S = _gram(X, n)
-    return {
-        "resolvent": float(np.linalg.norm(Q, 2)),
-        "resolvent_covariance": float(np.linalg.norm(Q @ S, 2)),
-        "resolvent_data": float(np.linalg.norm(Q @ X, 2) / np.sqrt(n)),
-    }
-
-
-def empirical_stieltjes(X: np.ndarray, z: float) -> float:
-    """(1/p) tr (X X^T/n + z I)^-1."""
-    Q = empirical_resolvent(X, z)
-    return float(np.trace(Q) / Q.shape[0])

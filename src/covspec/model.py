@@ -82,6 +82,13 @@ def _check_symmetric(matrix: np.ndarray, name: str = "sigma") -> None:
         raise ShapeError(f"{name} must be exactly symmetric, max|s_ij - s_ji| = {asym:g}")
 
 
+def _check_counts(counts, n) -> None:
+    """The one count rule for a mixture: the class counts sum to the total n."""
+    total = sum(counts)
+    if total != n:
+        raise ShapeError(f"class counts sum to {total}, expected total n = {n}")
+
+
 def _check_psd(centered: np.ndarray, sigma: np.ndarray) -> None:
     """The one PSD rule for a class: lambda_min(Sigma - mean mean^T) >= -_RTOL max|Sigma_ij|."""
     tau = _RTOL * max(np.abs(sigma).max(), 1e-300)
@@ -171,11 +178,7 @@ class Mixture:
         for c in self.classes:
             if c.p != p:
                 raise ShapeError("all class models must share the dimension p")
-        total = sum(c.n_l for c in self.classes)
-        if total != self.n:
-            raise ShapeError(
-                f"class counts sum to {total}, expected total n = {self.n}"
-            )
+        _check_counts([c.n_l for c in self.classes], self.n)
         object.__setattr__(self, "classes", tuple(self.classes))
         object.__setattr__(self, "n", int(self.n))
 

@@ -28,8 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .model import _RTOL, ClassModel, Mixture, _check_class, _check_psd, _check_symmetric
-from .model import _data_matrix, _freeze, _gram, build_mixture
+from .model import _RTOL, ClassModel, Mixture, _data_matrix, _freeze, _gram, build_mixture
 
 __all__ = [
     "GeneratorSpec",
@@ -46,7 +45,6 @@ __all__ = [
     "histogram",
     "spectral_ks_distance",
     "derive_seed",
-    "principal_sqrt",
 ]
 
 # Each generator kind's latent laws, its default first, and its nonlinearities.
@@ -161,37 +159,23 @@ class Histogram:
     transform: float | None = None
 
 
-def principal_sqrt(matrix: np.ndarray, sigma: np.ndarray | None = None) -> np.ndarray:
-    """Symmetric PSD square root via eigendecomposition.
-
-    The matrix must be exactly symmetric (a ShapeError otherwise), as
-    ClassModel requires. A DataError says it fails ClassModel's PSD rule,
-    judged at the scale of ``sigma`` (its own by default) when it is
-    sigma - mean mean^T. Eigenvalues below the relative floor are treated
-    as zero, so nearly singular inputs produce a clean low-rank factor.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    _check_symmetric(matrix)
-    _check_psd(matrix, matrix if sigma is None else sigma)
-    w, v = np.linalg.eigh(matrix)
+def _class_spec(
+    kind: str, model: ClassModel, nonlinearity: str = "identity", latent=None
+) -> GeneratorSpec:
+    """Generator of ``kind`` for a class ClassModel has judged. Its factor is the
+    principal square root of sigma - mean mean^T, so E[y y^T] equals sigma for an
+    affine kind; eigenvalues below the relative floor are treated as zero, so a
+    nearly singular class gets a clean low-rank factor."""
+    w, v = np.linalg.eigh(model.sigma - np.outer(model.mean, model.mean))
     floor = _RTOL * max(w[-1], 0.0)
     w = np.where(w > floor, w, 0.0)
-    return (v * np.sqrt(w)) @ v.T
-
-
-def _class_spec(
-    kind: str, sigma, mean=None, nonlinearity: str = "identity", latent=None
-) -> GeneratorSpec:
-    """Generator of ``kind`` whose factor is the principal square root of
-    sigma - mean mean^T, so E[y y^T] equals sigma for an affine kind."""
-    sigma, mean = _check_class(sigma, mean)
-    factor = principal_sqrt(sigma - np.outer(mean, mean), sigma)
-    return GeneratorSpec(kind, mean, factor, nonlinearity, latent)
+    factor = (v * np.sqrt(w)) @ v.T
+    return GeneratorSpec(kind, model.mean, factor, nonlinearity, latent)
 
 
 def gaussian_class_spec(sigma: np.ndarray, mean: np.ndarray | None = None) -> GeneratorSpec:
     """Gaussian generator matching a target second moment."""
-    return _class_spec("gaussian", sigma, mean)
+    return _class_spec("gaussian", ClassModel(sigma, mean, 1))
 
 
 def bounded_class_spec(
@@ -200,7 +184,7 @@ def bounded_class_spec(
     latent: str | None = None,
 ) -> GeneratorSpec:
     """Bounded-affine generator with the same second moment as the Gaussian one."""
-    return _class_spec("bounded-affine", sigma, mean, latent=latent)
+    return _class_spec("bounded-affine", ClassModel(sigma, mean, 1), latent=latent)
 
 
 def class_model_of(spec: GeneratorSpec, n_l: int) -> ClassModel:

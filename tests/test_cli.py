@@ -654,6 +654,18 @@ def test_bad_generator_laws_exit_two_under_every_command(tmp_path, capsys, comma
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("command", ["predict", "simulate", "compare", "conclab"])
+def test_class_counts_off_the_mixture_n_exit_two_under_every_command(tmp_path, capsys, command):
+    # n = sum of n_l is judged when the config loads, so simulate samples no
+    # mixture of another size and conclab runs none of its checks beside one.
+    cfg_path = write_config(tmp_path, BASE.replace("n = 8", "n = 999") + CONCLAB)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{cfg_path} [mixture]: class counts sum to 8, expected total n = 999" in err
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_compare_nonconvergence_exits_one_and_still_writes(tmp_path, capsys):
     cfg_path = write_config(tmp_path, BASE + "    max_iter = 1\n")
     out = tmp_path / "out"

@@ -21,7 +21,6 @@ from covspec import (
     delta_gap_sweep,
     fit_exponential_tail,
     gaussian_class_spec,
-    norm_degree,
     observable_diameter,
     quadratic_form_check,
     resolvent_error_sweep,
@@ -463,24 +462,6 @@ def test_scaling_report_validation():
         ScalingReport.from_points([1.0, 2.0], [1.0, -1.0])
     with pytest.raises(DataError):
         ScalingReport.from_points([0.0, 2.0], [1.0, 1.0])
-
-
-def test_norm_degree_values():
-    assert norm_degree("sup", 8) == pytest.approx(np.log(8))
-    assert norm_degree("lr", 8, r=2) == 8.0
-    assert norm_degree("spectral", 8, n=7) == 15.0
-    assert norm_degree("frobenius", 8, n=7) == 56.0
-
-
-def test_norm_degree_validation():
-    with pytest.raises(ParameterError):
-        norm_degree("sup", 0)
-    with pytest.raises(ParameterError):
-        norm_degree("lr", 4, r=0.5)
-    with pytest.raises(ParameterError):
-        norm_degree("spectral", 4)
-    with pytest.raises(ParameterError):
-        norm_degree("nuclear", 4, n=4)
 
 
 def test_sample_class_seed_validation():

@@ -176,23 +176,22 @@ def test_generator_fields_flow_into_spec(tmp_path):
 
 
 def test_count_total_mismatch_surfaces_in_mixture(tmp_path):
-    cfg = load_config(
-        write_config(
-            tmp_path,
-            """
-            [mixture]
-            p = 2
-            n = 9
-            classes = a
+    # n = sum of n_l is judged when the config loads, naming [mixture].
+    path = write_config(
+        tmp_path,
+        """
+        [mixture]
+        p = 2
+        n = 9
+        classes = a
 
-            [class.a]
-            n_l = 5
-            sigma = identity
-            """,
-        )
+        [class.a]
+        n_l = 5
+        sigma = identity
+        """,
     )
-    with pytest.raises(ShapeError):
-        cfg.mixture()
+    with pytest.raises(ShapeError, match=r"\[mixture\]: class counts sum to 5, expected total n = 9"):
+        load_config(path)
 
 
 def test_config_without_classes_cannot_build_mixture(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import identity_mixture, mp_density
-from covspec.equivalent import resolvent_bounds
 from covspec.fixed_point import _DenseTraces, _SpectralTraces, _solve, _trace_backend
 from covspec import (
     ClassModel,
@@ -16,11 +15,8 @@ from covspec import (
     build_mixture,
     density_prediction,
     deterministic_resolvent,
-    empirical_resolvent,
     empirical_spectrum,
-    empirical_stieltjes,
     interference_map,
-    sigma_delta,
     solve_delta,
     solve_delta_complex,
     stieltjes_from_delta,
@@ -38,20 +34,8 @@ def test_identity_equivalent_is_scalar_matrix():
     np.testing.assert_allclose(q, scalar * np.eye(8), atol=1e-12)
 
 
-def test_sigma_delta_weighted_sum():
-    t = toeplitz_covariance(0.5, 6)
-    c1 = ClassModel(sigma=t, mean=np.zeros(6), n_l=3)
-    c2 = ClassModel(sigma=2 * np.eye(6), mean=np.zeros(6), n_l=9)
-    mix = build_mixture([c1, c2], 12)
-    out = sigma_delta(mix, np.array([1.0, 3.0]))
-    expected = (3 / 12) * t / 2.0 + (9 / 12) * 2 * np.eye(6) / 4.0
-    np.testing.assert_allclose(out, expected, atol=1e-14)
-
-
 def test_sigma_delta_rejects_pole():
     mix = identity_mixture(4, 4)
-    with pytest.raises(ParameterError):
-        sigma_delta(mix, np.array([-1.0]))
     with pytest.raises(ParameterError):
         stieltjes_from_delta(mix, np.array([-1.0]), 1.0)
 
@@ -61,11 +45,10 @@ def test_sigma_delta_rejects_pole():
     "evaluate",
     [
         lambda mix, delta: interference_map(delta, mix, 1.0),
-        sigma_delta,
         lambda mix, delta: deterministic_resolvent(mix, delta, 1.0),
         lambda mix, delta: stieltjes_from_delta(mix, delta, 1.0),
     ],
-    ids=["interference_map", "sigma_delta", "deterministic_resolvent", "stieltjes_from_delta"],
+    ids=["interference_map", "deterministic_resolvent", "stieltjes_from_delta"],
 )
 def test_delta_evaluators_share_one_admissibility_rule(evaluate, delta):
     # A fixed-point vector is real and entrywise nonnegative for every evaluator.
@@ -283,48 +266,10 @@ def test_density_single_point_grid():
     assert pred.density[0] >= 0
 
 
-def test_empirical_resolvent_exact_two_by_two():
-    x = np.sqrt(2.0) * np.eye(2)
-    np.testing.assert_allclose(
-        empirical_resolvent(x, 3.0), np.eye(2) / 4.0, atol=1e-14
-    )
-    np.testing.assert_allclose(empirical_stieltjes(x, 3.0), 0.25, atol=1e-14)
-
-
-def test_resolvent_bounds_hold_on_random_inputs(rng):
-    for _ in range(100):
-        p = int(rng.integers(1, 12))
-        n = int(rng.integers(1, 12))
-        z = float(rng.uniform(0.05, 10.0))
-        x = rng.standard_normal((p, n)) * rng.uniform(0.1, 3.0)
-        q = empirical_resolvent(x, z)
-        bounds = resolvent_bounds(x, z, q)
-        assert bounds["resolvent"] <= 1.0 / z + 1e-10
-        assert bounds["resolvent_covariance"] <= 1.0 + 1e-10
-        assert bounds["resolvent_data"] <= 1.0 / np.sqrt(z) + 1e-10
-
-
-@pytest.mark.parametrize(
-    "x, z, q, error",
-    [
-        (np.ones((3, 4)), -1.0, np.eye(3), ParameterError),
-        (np.ones(3), 1.0, np.eye(3), ShapeError),
-        (np.ones((3, 4)), 1.0, np.eye(2), ShapeError),
-    ],
-    ids=["negative z", "1-d X", "Q of the wrong size"],
-)
-def test_resolvent_bounds_checks_inputs_when_q_is_passed(x, z, q, error):
-    with pytest.raises(error):
-        resolvent_bounds(x, z, q)
-
-
 # Every function of a data matrix X checks it the same way: 2-d, p and n at
 # least 1, finite entries.
 DATA_MATRIX_FUNCTIONS = {
     "empirical_spectrum": empirical_spectrum,
-    "empirical_resolvent": lambda x: empirical_resolvent(x, 1.0),
-    "empirical_stieltjes": lambda x: empirical_stieltjes(x, 1.0),
-    "resolvent_bounds": lambda x: resolvent_bounds(x, 1.0),
 }
 
 
@@ -342,12 +287,3 @@ def test_data_matrix_functions_reject_non_finite_entries(name, bad):
 def test_data_matrix_functions_reject_empty_or_1d_data(name, shape):
     with pytest.raises(ShapeError):
         DATA_MATRIX_FUNCTIONS[name](np.zeros(shape))
-
-
-def test_empirical_stieltjes_matches_eigenvalues(rng):
-    x = rng.standard_normal((6, 9))
-    s = x @ x.T / 9
-    vals = np.linalg.eigvalsh((s + s.T) / 2)
-    np.testing.assert_allclose(
-        empirical_stieltjes(x, 2.0), np.mean(1.0 / (vals + 2.0)), atol=1e-12
-    )

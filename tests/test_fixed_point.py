@@ -141,14 +141,14 @@ _DENSE_RUN = """
 import sys
 import numpy as np
 from covspec import (ClassModel, build_mixture, delta_empirical, density_prediction,
-    empirical_stieltjes, gaussian_class_spec, solve_delta, toeplitz_covariance)
+    empirical_spectrum, gaussian_class_spec, solve_delta, toeplitz_covariance)
 t = toeplitz_covariance(0.4, 6)
 d = np.diag(np.arange(1.0, 7.0))
 mix = build_mixture([ClassModel(sigma=s, mean=np.zeros(6), n_l=4) for s in (t, d)], 8)
 assert mix.spectral() is None
 assert solve_delta(mix, 1.0).converged
 density_prediction(mix, [1.0], epsilon=0.1)
-empirical_stieltjes(np.random.default_rng(0).standard_normal((6, 8)), 1.0)
+empirical_spectrum(np.random.default_rng(0).standard_normal((6, 8)))
 delta_empirical([(gaussian_class_spec(s), 4) for s in (t, d)], z=1.0, trials=2, seed=0)
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """

@@ -12,14 +12,14 @@ from covspec import (
     ShapeError,
     build_mixture,
     estimate_class_model,
+    gaussian_class_spec,
     toeplitz_covariance,
 )
-from covspec.cli import cmd_predict
+from covspec.cli import cmd_compare, cmd_predict, cmd_simulate
 from covspec.config import load_config
 from covspec.equivalent import atom_at_zero
 from covspec.fixed_point import _DenseTraces, _SpectralTraces
 from covspec.model import _joint_eigenbasis
-from covspec.sampler import principal_sqrt
 
 
 def test_toeplitz_entries():
@@ -536,6 +536,43 @@ epsilon = 0.05
     assert config.mixture().spectral() is None
 
 
+_COMMUTING_PAIR = """
+[mixture]
+p = 20
+n = 40
+classes = a b
+
+[class.a]
+n_l = 30
+sigma = toeplitz a=0.3 scale=2
+
+[class.b]
+n_l = 10
+sigma = toeplitz a=0.3 power=2
+generator = bounded-affine
+
+[compare]
+z_grid = 0.5 2
+lambda_grid = 0.05:6:30
+epsilon = 0.05
+trials = 2
+"""
+
+
+@pytest.mark.parametrize("command, cholesky, eigh", [
+    (cmd_compare, 2, 3),  # the PSD rule and the square root per class, the joint eigh
+    (cmd_simulate, 2, 2),  # the PSD rule and the square root per class
+], ids=["compare", "simulate"])
+def test_sampling_commands_decompose_each_class_once(tmp_path, counted, command, cholesky, eigh):
+    # ClassModel judges each class once; the sampler's square root and the
+    # mixture read that one judged class.
+    config = _predict_config(tmp_path, _COMMUTING_PAIR, "pair.ini")
+    (tmp_path / "out").mkdir()
+    assert command(config, str(tmp_path / "out")) == 0
+    assert counted["cholesky"].calls == cholesky
+    assert counted["eigh"].calls == eigh
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1e-300, 1e150])
 def test_certificate_judges_the_scaled_residual_at_extreme_scales(scale):
     # The commutator probe underflows at tiny scales and passes any pair, so
@@ -561,15 +598,14 @@ def _rotated_with_lambda_min(lam_over_tau, mean, scale=1.0):
 @pytest.mark.parametrize("lam_over_tau, accepted", [(-2.0, False), (-0.5, True)])
 def test_cholesky_psd_verdict_at_the_slack(lam_over_tau, accepted, mean, scale):
     # The rule is lambda_min(sigma - mean mean^T) >= -tau; its verdict is the
-    # same at every scale and the same for ClassModel and principal_sqrt.
+    # same at every scale and the same for ClassModel and the sampler's spec.
     sigma, mean = _rotated_with_lambda_min(lam_over_tau, mean, scale)
-    centered = sigma - np.outer(mean, mean)
     if accepted:
         ClassModel(sigma=sigma, mean=mean, n_l=2)
-        principal_sqrt(centered, sigma)
+        gaussian_class_spec(sigma, mean)
         return
     for build in (lambda: ClassModel(sigma=sigma, mean=mean, n_l=2),
-                  lambda: principal_sqrt(centered, sigma)):
+                  lambda: gaussian_class_spec(sigma, mean)):
         with pytest.raises(DataError, match="below the PSD slack"):
             build()
 

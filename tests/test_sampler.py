@@ -28,7 +28,6 @@ from covspec.sampler import (
     _latent_block,
     _trial_samples,
     derive_seed,
-    principal_sqrt,
 )
 
 
@@ -50,7 +49,7 @@ def test_derive_seed_rejects_values_outside_64_bits(path):
 def test_principal_sqrt_squares_back(rng):
     a = rng.standard_normal((5, 5))
     sigma = a @ a.T
-    root = principal_sqrt(sigma)
+    root = gaussian_class_spec(sigma).factor
     np.testing.assert_allclose(root @ root.T, sigma, atol=1e-10)
     np.testing.assert_allclose(root, root.T, atol=1e-10)
 
@@ -58,24 +57,34 @@ def test_principal_sqrt_squares_back(rng):
 def test_principal_sqrt_clips_roundoff_negatives():
     v = np.array([1.0, 1.0])
     rank1 = np.outer(v, v)
-    root = principal_sqrt(rank1)
+    root = gaussian_class_spec(rank1).factor
     np.testing.assert_allclose(root @ root.T, rank1, atol=1e-12)
 
 
 def test_principal_sqrt_rejects_what_class_model_rejects():
     # One PSD rule: an indefinite matrix is no covariance, even when its top
-    # eigenvalue is positive.
-    indefinite = np.diag([1.0, -1e-3])
-    for build in (principal_sqrt, gaussian_class_spec):
-        with pytest.raises(DataError, match="below the PSD slack"):
-            build(indefinite)
+    # eigenvalue is positive. Every public spec builder judges its class by
+    # ClassModel, with the same error type and message.
+    cases = [
+        (np.diag([1.0, -1e-3]), None, DataError, "below the PSD slack"),
+        (np.diag([1.0, 4.0]), np.array([1.5, 0.0]), DataError, "below the PSD slack"),
+        (np.array([[1.0, np.nan], [np.nan, 1.0]]), None, DataError, "must be finite"),
+        (np.eye(2), np.array([np.inf, 0.0]), DataError, "must be finite"),
+        (np.ones((3, 4)), None, ShapeError, "sigma must be square"),
+        (np.eye(2), np.zeros(3), ShapeError, "mean has shape"),
+    ]
+    for sigma, mean, error, message in cases:
+        for build in (lambda: ClassModel(sigma, mean, 1), lambda: gaussian_class_spec(sigma, mean),
+                      lambda: bounded_class_spec(sigma, mean)):
+            with pytest.raises(error, match=message):
+                build()
 
 
 def test_principal_sqrt_rejects_an_asymmetric_matrix():
     # Symmetrizing would sample from [[1, .45], [.45, 1]], a matrix the
     # caller never gave; ClassModel rejects the same input.
     asymmetric = np.array([[1.0, 0.5], [0.4, 1.0]])
-    for build in (principal_sqrt, gaussian_class_spec, bounded_class_spec):
+    for build in (gaussian_class_spec, bounded_class_spec):
         with pytest.raises(ShapeError, match="exactly symmetric"):
             build(asymmetric)
     with pytest.raises(ShapeError, match="exactly symmetric"):
