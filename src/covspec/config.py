@@ -32,7 +32,7 @@ from .errors import DataError, ParameterError, ShapeError
 from .io import read_matrix
 from .model import ClassModel, Mixture, _check_class, _check_counts, _flush, build_mixture
 from .model import toeplitz_covariance
-from .sampler import GeneratorSpec, _check_law, _class_spec
+from .sampler import _check_law, _class_spec
 
 __all__ = ["ClassConfig", "ExperimentConfig", "load_config", "parse_grid"]
 
@@ -49,7 +49,6 @@ def _in_section(where: str, build, *args):
 class ClassConfig:
     """One parsed [class.*] section; ``where`` names the file and the section."""
 
-    label: str
     where: str
     n_l: int
     sigma: np.ndarray
@@ -60,12 +59,8 @@ class ClassConfig:
 
     @cached_property
     def model(self) -> ClassModel:
-        """The class judged once, by ClassModel; the mixture and the spec both read it."""
+        """The class judged once, by ClassModel; the mixture and the sampler both read it."""
         return _in_section(self.where, ClassModel, self.sigma, self.mean, self.n_l)
-
-    def spec(self) -> GeneratorSpec:
-        return _in_section(self.where, _class_spec, self.generator, self.model,
-                           self.nonlinearity, self.latent)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,12 +78,22 @@ class ExperimentConfig:
     ingest: dict = field(default_factory=dict)
 
     def mixture(self) -> Mixture:
+        return self._mixture
+
+    @cached_property
+    def _mixture(self) -> Mixture:
         if not self.class_configs:
             raise ParameterError(f"{self.path}: no [class.*] sections defined")
         return build_mixture([c.model for c in self.class_configs], self.n)
 
     def generator_pairs(self):
-        return [(c.spec(), c.n_l) for c in self.class_configs]
+        """(spec, n_l) per class. A zero-mean class with an off-diagonal sigma entry takes its
+        root off a certified joint eigenbasis; others run their own eigh (exact if diagonal)."""
+        shared = [not c.mean.any() and np.triu(c.sigma, 1).any() for c in self.class_configs]
+        rows, v = self.mixture().eigenpairs if len(shared) > 1 and any(shared) else (None, None)
+        return [(_in_section(c.where, _class_spec, c.generator, c.model, c.nonlinearity, c.latent,
+                             (rows[l], v) if s and v is not None else None), c.n_l)
+                for l, (c, s) in enumerate(zip(self.class_configs, shared))]
 
 
 def _grid(text: str) -> np.ndarray:
@@ -288,7 +293,7 @@ def load_config(path: str) -> ExperimentConfig:
             sigma = _parse_sigma(values.pop("sigma"), p, base_dir, where)
             mean = _parse_mean(values.pop("mean", "zeros"), base_dir, where)
             sigma, mean = _in_section(where, _check_class, sigma, mean)
-            config = ClassConfig(label, where, sigma=sigma, mean=mean, **values)
+            config = ClassConfig(where, sigma=sigma, mean=mean, **values)
             _in_section(where, _check_law, config.generator, config.nonlinearity, config.latent)
             class_configs.append(config)
         counts = [c.n_l for c in class_configs]

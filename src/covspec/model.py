@@ -44,8 +44,8 @@ def _flush(a: np.ndarray) -> np.ndarray:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    """Read-only float copy of ``a``."""
-    out = np.array(a, dtype=float, copy=True)
+    """Read-only ``a``: itself when it is read-only and owns its memory, else a frozen copy."""
+    out = a if a.base is None and not a.flags.writeable else a.copy(order="K")
     out.flags.writeable = False
     return out
 
@@ -62,7 +62,7 @@ def _data_matrix(X) -> np.ndarray:
 
 def _check_class(sigma, mean=None):
     """The one structural rule for a class: sigma square with p >= 1, the mean (zeros
-    by default) of length p, both finite, sigma exactly symmetric. Returns both as arrays."""
+    by default) of length p, both finite, sigma exactly symmetric. Returns both, read-only."""
     sigma = np.asarray(sigma, dtype=float)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1] or sigma.shape[0] < 1:
         raise ShapeError(f"sigma must be square with p >= 1, got shape {sigma.shape}")
@@ -72,7 +72,7 @@ def _check_class(sigma, mean=None):
     if not (np.isfinite(sigma).all() and np.isfinite(mean).all()):
         raise DataError("class model entries must be finite")
     _check_symmetric(sigma)
-    return sigma, mean
+    return _freeze(sigma), _freeze(mean)
 
 
 def _check_symmetric(matrix: np.ndarray, name: str = "sigma") -> None:
@@ -143,8 +143,8 @@ class ClassModel:
         if not isinstance(self.n_l, (int, np.integer)) or self.n_l < 1:
             raise ParameterError(f"n_l must be a positive integer, got {self.n_l!r}")
         _check_psd(sigma - np.outer(mean, mean), sigma)
-        object.__setattr__(self, "sigma", _freeze(sigma))
-        object.__setattr__(self, "mean", _freeze(mean))
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "n_l", int(self.n_l))
 
     @property
@@ -172,6 +172,7 @@ class Mixture:
     n: int
 
     def __post_init__(self):
+        object.__setattr__(self, "classes", tuple(self.classes))
         if not self.classes:
             raise ShapeError("a mixture needs at least one class")
         p = self.classes[0].p
@@ -179,7 +180,6 @@ class Mixture:
             if c.p != p:
                 raise ShapeError("all class models must share the dimension p")
         _check_counts([c.n_l for c in self.classes], self.n)
-        object.__setattr__(self, "classes", tuple(self.classes))
         object.__setattr__(self, "n", int(self.n))
 
     @property
@@ -203,12 +203,9 @@ class Mixture:
         return np.array([c.trace() for c in self.classes])
 
     def spectral(self) -> np.ndarray | None:
-        """Read-only (k, p) class eigenvalues in one joint eigenbasis, or None.
-
-        One class is its own record, ClassModel.eigenvalues. Otherwise it is computed
-        once by :func:`_joint_eigenbasis`, None unless that certifies a joint basis.
-        """
-        return self._spectral
+        """Read-only (k, p) class eigenvalues in one joint eigenbasis, or None. The basis V is
+        kept beside it, in :attr:`eigenpairs`; one class is its own record, ClassModel's."""
+        return self.eigenpairs[0]
 
     def class_spectra(self) -> list[np.ndarray]:
         """Each class's eigenvalues in any order: the record's rows, else ClassModel's."""
@@ -216,14 +213,15 @@ class Mixture:
         return [c.eigenvalues for c in self.classes] if eigs is None else list(eigs)
 
     @cached_property
-    def _spectral(self) -> np.ndarray | None:
+    def eigenpairs(self) -> tuple:
+        """(record, V) computed once by _joint_eigenbasis, or (None, None); V is None if k = 1."""
         if self.k == 1:
-            return self.classes[0].eigenvalues[None, :]
-        return _joint_eigenbasis([c.sigma for c in self.classes])
+            return self.classes[0].eigenvalues[None, :], None
+        return _joint_eigenbasis([c.sigma for c in self.classes]) or (None, None)
 
 
-def _joint_eigenbasis(sigmas) -> np.ndarray | None:
-    """Read-only (k, p) eigenvalues of ``sigmas`` in a certified joint eigenbasis, or None.
+def _joint_eigenbasis(sigmas) -> tuple[np.ndarray, np.ndarray] | None:
+    """Read-only (k, p) eigenvalues of ``sigmas`` and their certified joint eigenbasis V, or None.
 
     With s_l = max|Sigma_l,ij|. Early reject: |C x|_inf <= max|C_ij| |x|_1, so probing
     each commutator C on one fixed x at O(p^2) cost fails only when max|C_ij| > _RTOL s_a s_b p.
@@ -252,7 +250,7 @@ def _joint_eigenbasis(sigmas) -> np.ndarray | None:
         eigs[j] = np.einsum("ib,ib->b", v, sv)
         if np.linalg.norm((sv - v * eigs[j]) / scales[j], axis=0).max() > _RTOL:
             return None
-    return _freeze(eigs)
+    return _freeze(eigs), _freeze(v)
 
 
 def toeplitz_covariance(a: float, p: int) -> np.ndarray:
@@ -273,9 +271,7 @@ def toeplitz_covariance(a: float, p: int) -> np.ndarray:
     return row[np.abs(idx[:, None] - idx[None, :])]
 
 
-def build_mixture(classes, n: int) -> Mixture:
-    """Assemble a Mixture from class models, checking counts against n."""
-    return Mixture(classes=tuple(classes), n=n)
+build_mixture = Mixture  # Mixture(classes, n) takes any iterable of class models
 
 
 def estimate_class_model(samples: np.ndarray, n_l: int) -> ClassModel:

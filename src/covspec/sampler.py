@@ -53,7 +53,6 @@ _LAWS = {
     "lipschitz-of-gaussian": (("standard-normal",), ("identity", "tanh", "relu", "abs")),
     "bounded-affine": (("rademacher", "uniform"), ("identity",)),
 }
-KINDS = tuple(_LAWS)
 NONLINEARITIES = {"identity": None, "tanh": np.tanh, "abs": np.abs,
                   "relu": lambda core: np.maximum(core, 0.0)}
 LATENTS = ("standard-normal", "rademacher", "uniform")
@@ -160,14 +159,14 @@ class Histogram:
 
 
 def _class_spec(
-    kind: str, model: ClassModel, nonlinearity: str = "identity", latent=None
+    kind: str, model: ClassModel, nonlinearity: str = "identity", latent=None, eigh=None
 ) -> GeneratorSpec:
-    """Generator of ``kind`` for a class ClassModel has judged. Its factor is the
-    principal square root of sigma - mean mean^T, so E[y y^T] equals sigma for an
-    affine kind; eigenvalues below the relative floor are treated as zero, so a
-    nearly singular class gets a clean low-rank factor."""
-    w, v = np.linalg.eigh(model.sigma - np.outer(model.mean, model.mean))
-    floor = _RTOL * max(w[-1], 0.0)
+    """Generator of ``kind`` for a class ClassModel has judged: its factor is the principal
+    square root of S = sigma - mean mean^T (E[y y^T] = sigma for an affine kind), built from
+    ``eigh`` = (w, V), eigen-pairs of S in any order, or S's own eigh. Eigenvalues below the
+    relative floor count as zero, so a nearly singular class gets a clean low-rank factor."""
+    w, v = eigh or np.linalg.eigh(model.sigma - np.outer(model.mean, model.mean))
+    floor = _RTOL * max(w.max(), 0.0)
     w = np.where(w > floor, w, 0.0)
     factor = (v * np.sqrt(w)) @ v.T
     return GeneratorSpec(kind, model.mean, factor, nonlinearity, latent)

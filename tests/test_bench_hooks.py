@@ -54,3 +54,27 @@ def test_tracer_patches_every_target_and_setup_runs_traced(bench, tmp_path):
     # Both predict-spectral mixtures commute: the backend counter reads 1.
     backends = [s.counts for s in t.spans if s.name == "model.spectral"]
     assert backends == [{"spectral": 1}] * len(configs)
+
+
+@pytest.mark.parametrize("config, cholesky, eigh", [
+    (0, 2, 1),  # README mixture: one PSD verdict per class, one joint eigh
+    (1, 3, 2),  # three-class: plus the identity class's own exact eigh
+], ids=["readme", "three"])
+def test_setup_decomposes_a_commuting_mixture_once(bench, tmp_path, monkeypatch, config,
+                                                   cholesky, eigh):
+    # Set-up builds the mixture, the generator specs and the spectral record:
+    # each zero-mean, non-diagonal class's square root is read off the joint
+    # eigenbasis that the record already computed.
+    import numpy as np
+
+    _, worker, workloads = bench
+    path = workloads.write_inputs("predict-spectral", 1, str(tmp_path))["setup_configs"][config]
+    calls = {"cholesky": 0, "eigh": 0, "eigvalsh": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    worker.setup(SRC, [path])
+    assert calls == {"cholesky": cholesky, "eigh": eigh, "eigvalsh": 0}

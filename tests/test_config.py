@@ -167,12 +167,34 @@ def test_generator_fields_flow_into_spec(tmp_path):
             """,
         )
     )
-    spec = cfg.class_configs[0].spec()
+    [(spec, count)] = cfg.generator_pairs()
     assert spec.kind == "lipschitz-of-gaussian"
     assert spec.nonlinearity == "tanh"
     np.testing.assert_allclose(spec.factor @ spec.factor.T, np.eye(3), atol=1e-12)
-    pairs = cfg.generator_pairs()
-    assert pairs[0][1] == 6
+    assert count == 6
+
+
+def test_class_model_keeps_the_one_parsed_sigma(tmp_path):
+    # A class holds one p x p copy of sigma: the parsed array, read-only, is
+    # the one its ClassModel keeps, for a recipe and for a file alike.
+    write_matrix(str(tmp_path / "s.csv"), 2.0 * np.eye(4))
+    cfg = load_config(write_config(tmp_path, """
+        [mixture]
+        p = 4
+        n = 10
+        classes = a b
+
+        [class.a]
+        n_l = 5
+        sigma = toeplitz a=0.3 scale=2
+
+        [class.b]
+        n_l = 5
+        sigma = file s.csv
+        """))
+    for c in cfg.class_configs:
+        assert not c.sigma.flags.writeable
+        assert np.shares_memory(c.sigma, c.model.sigma)
 
 
 def test_count_total_mismatch_surfaces_in_mixture(tmp_path):

@@ -20,6 +20,7 @@ from covspec.config import load_config
 from covspec.equivalent import atom_at_zero
 from covspec.fixed_point import _DenseTraces, _SpectralTraces
 from covspec.model import _joint_eigenbasis
+from covspec.sampler import _class_spec
 
 
 def test_toeplitz_entries():
@@ -127,6 +128,22 @@ def test_class_model_arrays_are_frozen():
         model.sigma[0, 0] = 2.0
     with pytest.raises(ValueError):
         model.mean[0] = 1.0
+
+
+def test_class_model_copies_what_a_caller_can_still_write():
+    # A writeable array, or a read-only view of one, is copied; a read-only
+    # array that owns its memory is kept as it is.
+    sigma = np.eye(3)
+    view = sigma[:]
+    view.flags.writeable = False
+    for given in (sigma, view):
+        model = ClassModel(sigma=given, mean=np.zeros(3), n_l=1)
+        assert not np.shares_memory(model.sigma, sigma)
+    sigma[0, 0] = 7.0
+    assert model.sigma[0, 0] == 1.0
+    frozen = np.eye(3)
+    frozen.flags.writeable = False
+    assert ClassModel(sigma=frozen, mean=np.zeros(3), n_l=1).sigma is frozen
 
 
 def test_mixture_counts_weights_gamma():
@@ -560,12 +577,13 @@ trials = 2
 
 
 @pytest.mark.parametrize("command, cholesky, eigh", [
-    (cmd_compare, 2, 3),  # the PSD rule and the square root per class, the joint eigh
-    (cmd_simulate, 2, 2),  # the PSD rule and the square root per class
+    (cmd_compare, 2, 1),  # the PSD rule per class, the joint eigh
+    (cmd_simulate, 2, 1),  # the same: each square root is read off the joint basis
 ], ids=["compare", "simulate"])
 def test_sampling_commands_decompose_each_class_once(tmp_path, counted, command, cholesky, eigh):
-    # ClassModel judges each class once; the sampler's square root and the
-    # mixture read that one judged class.
+    # ClassModel judges each class once; the mixture reads that one judged
+    # class, and the sampler takes each zero-mean class's square root from the
+    # mixture's one joint eigenbasis.
     config = _predict_config(tmp_path, _COMMUTING_PAIR, "pair.ini")
     (tmp_path / "out").mkdir()
     assert command(config, str(tmp_path / "out")) == 0
@@ -651,3 +669,96 @@ def test_record_rows_are_the_class_spectra_and_give_the_same_atom(name):
     assert atom_at_zero(mix) == by_eigvalsh
     if name == "two, p = 2n":
         assert atom_at_zero(mix) == 0.5
+
+
+def test_config_builds_one_mixture_and_compare_certifies_one_basis(tmp_path, monkeypatch):
+    import covspec.model
+
+    calls = []
+
+    def counted_joint(sigmas):
+        calls.append(len(sigmas))
+        return _joint_eigenbasis(sigmas)
+
+    monkeypatch.setattr(covspec.model, "_joint_eigenbasis", counted_joint)
+    config = _predict_config(tmp_path, _COMMUTING_PAIR, "pair.ini")
+    assert config.mixture() is config.mixture()
+    (tmp_path / "out").mkdir()
+    assert cmd_compare(config, str(tmp_path / "out")) == 0
+    assert calls == [2]
+
+
+def _own_root(model):
+    """The principal square root of sigma - mean mean^T from its own eigh, floored
+    at 1e-10 of the top eigenvalue: the factor of a class outside the joint basis."""
+    w, v = np.linalg.eigh(model.sigma - np.outer(model.mean, model.mean))
+    w = np.where(w > 1e-10 * max(w[-1], 0.0), w, 0.0)
+    return (v * np.sqrt(w)) @ v.T
+
+
+@pytest.mark.parametrize("text", [README_MIXTURE, THREE_CLASS_MIXTURE], ids=["readme", "three"])
+def test_joint_basis_roots_match_each_class_own_root(tmp_path, text):
+    config = _predict_config(tmp_path, text, "exp.ini")
+    assert config.mixture().eigenpairs[1] is not None
+    for c, (spec, n_l) in zip(config.class_configs, config.generator_pairs()):
+        scale = np.abs(c.sigma).max()
+        assert n_l == c.n_l
+        assert np.abs(spec.factor - _own_root(c.model)).max() <= 1e-13 * scale
+        assert np.abs(spec.factor @ spec.factor.T - c.sigma).max() <= 1e-13 * scale
+
+
+def test_diagonal_class_keeps_its_own_exact_root(tmp_path):
+    # The identity class of a commuting mixture: its own eigh is exact, so the
+    # factor stays diagonal and the sampler scales rows.
+    config = _predict_config(tmp_path, THREE_CLASS_MIXTURE, "three.ini")
+    iso = config.generator_pairs()[0][0]
+    assert iso.diagonal is not None
+    assert iso.factor.tobytes() == gaussian_class_spec(np.eye(600)).factor.tobytes()
+
+
+_NON_COMMUTING_PAIR = """
+[mixture]
+p = 20
+n = 40
+classes = a b
+
+[class.a]
+n_l = 30
+sigma = toeplitz a=0.3 scale=2
+
+[class.b]
+n_l = 10
+sigma = file rotated.csv
+"""
+
+
+@pytest.mark.parametrize("text, shared", [
+    (_COMMUTING_PAIR.replace("generator = bounded-affine", "mean = file mean.csv"), [True, False]),
+    (_NON_COMMUTING_PAIR, [False, False]),
+], ids=["mean-in-commuting-pair", "non-commuting"])
+def test_classes_outside_the_joint_basis_keep_their_own_root(tmp_path, text, shared):
+    (tmp_path / "mean.csv").write_text("0.1\n" + "0\n" * 19)
+    q, _ = np.linalg.qr(np.random.default_rng(11).standard_normal((20, 20)))
+    rotated = _symmetric((q * np.linspace(0.5, 2.0, 20)) @ q.T)
+    (tmp_path / "rotated.csv").write_text(
+        "\n".join(",".join(format(x, ".17g") for x in row) for row in rotated) + "\n")
+    config = _predict_config(tmp_path, text, "pair.ini")
+    assert (config.mixture().eigenpairs[1] is not None) == any(shared)
+    for c, (spec, _), joint in zip(config.class_configs, config.generator_pairs(), shared):
+        own = _own_root(c.model)
+        if joint:
+            assert np.abs(spec.factor - own).max() <= 1e-13 * np.abs(c.sigma).max()
+        else:
+            assert spec.factor.tobytes() == own.tobytes()
+
+
+def test_joint_record_row_is_floored_on_its_largest_entry():
+    # Record rows are not sorted: the floor is 1e-10 of the row's largest
+    # entry, not of its last, and a tiny negative entry (inside the PSD
+    # slack) is floored to 0 rather than passed to the square root.
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((5, 5)))
+    row = np.array([2.0, 1.0, 1.5e-10, -1e-15, 0.5])
+    kept = np.array([2.0, 1.0, 0.0, 0.0, 0.5])
+    model = ClassModel(sigma=_symmetric((q * kept) @ q.T), mean=np.zeros(5), n_l=1)
+    spec = _class_spec("gaussian", model, eigh=(row, q))
+    assert spec.factor.tobytes() == ((q * np.sqrt(kept)) @ q.T).tobytes()
