@@ -26,19 +26,12 @@ from . import conc_lab
 from .config import ExperimentConfig, load_config
 from .equivalent import density_prediction
 from .errors import ConvergenceError, DataError, ParameterError, ShapeError
-from .fixed_point import solve_delta
+from .fixed_point import _continuation, solve_delta
 from .io import atomic_write_text, fmt_float, write_csv, write_matrix, read_matrix
 from .model import estimate_class_model
 from .sampler import _trial_samples, derive_seed, empirical_spectrum, histogram, sample_mixture
 
-__all__ = [
-    "main",
-    "cmd_predict",
-    "cmd_simulate",
-    "cmd_compare",
-    "cmd_conclab",
-    "cmd_ingest",
-]
+__all__ = ["main", "cmd_predict", "cmd_simulate", "cmd_compare", "cmd_conclab", "cmd_ingest"]
 
 
 def _log(verbose: bool, message: str) -> None:
@@ -52,13 +45,15 @@ def _predictions(config: ExperimentConfig, name: str, mixture, default_lambdas):
 
     The section's ``tol`` and ``max_iter`` apply to both solves; a key it
     leaves out keeps each solve's own default. ``epsilon = auto`` (the
-    default) is 1e-3 of the lambda span. Returns the z grid, one solution
-    per z, the density prediction and whether every solve converged.
+    default) is 1e-3 of the lambda span. Both grids are walked from their
+    largest point by the continuation rule of :mod:`covspec.fixed_point`.
+    Returns the z grid, one solution per z in the grid's order, the density
+    prediction and whether every solve converged.
     """
     section = getattr(config, name)
     params = {key: section[key] for key in ("tol", "max_iter") if key in section}
     z_grid = section.get("z_grid", np.linspace(0.5, 5.0, 10))
-    sols = [solve_delta(mixture, float(z), **params) for z in z_grid]
+    sols = _continuation(lambda z, start: solve_delta(mixture, z, start=start, **params), z_grid)
     lambdas = section["lambda_grid"] if "lambda_grid" in section else default_lambdas()
     epsilon = section.get("epsilon")
     if epsilon is None:
@@ -105,14 +100,9 @@ def cmd_predict(
     _log(verbose, f"predict: solved {z_grid.size} z points")
     _log(verbose, f"predict: density on {pred.lambdas.size} points, epsilon={pred.epsilon:g}")
 
-    write_csv(
-        os.path.join(out_dir, "delta.csv"),
-        ("z", "class_index", "delta_prime", "residual", "iterations"),
-        delta_rows,
-    )
-    write_csv(
-        os.path.join(out_dir, "stieltjes.csv"), ("z", "m_pred"), stieltjes_rows
-    )
+    write_csv(os.path.join(out_dir, "delta.csv"),
+              ("z", "class_index", "delta_prime", "residual", "iterations"), delta_rows)
+    write_csv(os.path.join(out_dir, "stieltjes.csv"), ("z", "m_pred"), stieltjes_rows)
     write_csv(
         os.path.join(out_dir, "density.csv"),
         ("lambda", "density", "converged"),

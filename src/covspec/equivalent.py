@@ -19,25 +19,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError, ShapeError
-from .fixed_point import (
-    DEFAULT_MAX_ITER,
-    DEFAULT_TOL,
-    solve_delta,
-    solve_delta_complex,
-    _check_z,
-    _coefficients,
-    _trace_backend,
-)
+from .fixed_point import DEFAULT_MAX_ITER, DEFAULT_TOL, solve_delta, solve_delta_complex
+from .fixed_point import _check_z, _coefficients, _continuation, _trace_backend
 from .model import Mixture, _combine, _rank
 
-__all__ = [
-    "SpectralPrediction",
-    "deterministic_resolvent",
-    "stieltjes_prediction",
-    "stieltjes_from_delta",
-    "density_prediction",
-    "atom_at_zero",
-]
+__all__ = ["SpectralPrediction", "deterministic_resolvent", "stieltjes_prediction",
+           "stieltjes_from_delta", "density_prediction", "atom_at_zero"]
 
 
 @dataclass(frozen=True)
@@ -124,9 +111,9 @@ def density_prediction(
     reads the density off Im m(w) / pi, with m(w) the solution's
     ``stieltjes`` value. That value includes the kernel of the zero atom
     (see :class:`SpectralPrediction`). The grid is walked from right to
-    left, each point starting from its right neighbour's solution
-    (continuation along the grid); the rightmost point, and any point after
-    one that did not converge, starts cold.
+    left by the continuation rule of :mod:`covspec.fixed_point`: each start
+    is predicted from the last two converged solutions, and the rightmost
+    point, and any point after one that did not converge, starts cold.
     """
     lambdas = np.asarray(lambdas, dtype=float)
     if lambdas.ndim != 1 or lambdas.size == 0:
@@ -135,20 +122,16 @@ def density_prediction(
         raise ParameterError("lambda grid must be finite and strictly increasing")
     if not 0 < epsilon < np.inf:
         raise ParameterError(f"epsilon must be finite and positive, got {epsilon}")
-    atom = atom_at_zero(mixture)
-    density = np.empty(lambdas.size)
-    converged = np.empty(lambdas.size, dtype=bool)
-    start = None
-    for j in reversed(range(lambdas.size)):
-        w = complex(lambdas[j], epsilon)
-        sol = solve_delta_complex(mixture, w, tol=tol, max_iter=max_iter, start=start)
-        density[j] = max(sol.stieltjes.imag / np.pi, 0.0)
-        converged[j] = sol.converged
-        start = sol.delta if sol.converged else None
+    sols = _continuation(
+        lambda lam, start: solve_delta_complex(
+            mixture, complex(lam, epsilon), tol=tol, max_iter=max_iter, start=start
+        ),
+        lambdas,
+    )
     return SpectralPrediction(
         lambdas=lambdas,
-        density=density,
-        atom_at_zero=atom,
+        density=np.array([max(sol.stieltjes.imag / np.pi, 0.0) for sol in sols]),
+        atom_at_zero=atom_at_zero(mixture),
         epsilon=float(epsilon),
-        converged=converged,
+        converged=np.array([sol.converged for sol in sols]),
     )

@@ -26,18 +26,25 @@ to a root outside it; the loop then takes damped Picard steps
 x + beta (I(x) - x), which the map keeps admissible, until the residual
 has halved, and resumes Newton steps from there. The loop stops once
 ||I(x) - x||_inf <= tol * max(1, ||x||_inf), a relative test that makes
-the result independent of the covariance scale. It starts from
-x0_l = tr(Sigma_l)/(n |s|), or from a caller's warm start, such as the
-solution at a neighbouring grid point.
+the result independent of the covariance scale. It starts from a caller's
+``start``, which must be k finite admissible entries, or cold from the
+map's large-|s| limit x0_l = tr(Sigma_l)/(n s), admissible at s = -w too.
 
 Every trace goes through one backend, selected by :func:`_trace_backend`:
 sums over the joint eigenbasis when the class matrices commute, the explicit
-inverse of the dense p x p matrix otherwise. A backend has one method,
-``traces``, which from one factorization at a real or a complex shift gives
-the k class traces of the map, the k x k cross traces behind the Jacobian
-and the normalized trace (1/p) tr(...)^-1 behind the Stieltjes transform.
-The solve keeps the last of these, so each solution carries its Stieltjes
-value and nothing downstream factors the matrix again.
+inverse of the dense p x p matrix otherwise. Its one method, ``traces``,
+gives from one factorization the k class traces, (1/p) tr Q behind the
+Stieltjes transform and a callable for the cross traces behind the Jacobian.
+The loop calls it only at an accepted, unconverged iterate whose next step
+is a Newton step, and holds no evaluation past its use. Each solution
+carries the Stieltjes value of its last evaluation.
+
+:func:`_continuation` walks a grid (the z grid, or the lambda of
+w = lambda + i epsilon) from its largest point down. Each start is the
+secant through the last two converged solutions, projected onto the
+admissible set, or the one converged solution so far; the first point, and
+any point after an unconverged one, starts cold (Allgower & Georg,
+*Introduction to Numerical Continuation Methods*, SIAM 2003, ch. 2).
 """
 
 from __future__ import annotations
@@ -49,13 +56,8 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .model import Mixture, _combine
 
-__all__ = [
-    "FixedPointSolution",
-    "ComplexFixedPointSolution",
-    "interference_map",
-    "solve_delta",
-    "solve_delta_complex",
-]
+__all__ = ["FixedPointSolution", "ComplexFixedPointSolution", "interference_map", "solve_delta",
+           "solve_delta_complex"]
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
@@ -100,12 +102,9 @@ class ComplexFixedPointSolution:
 
 def _check_z(z) -> float:
     arr = np.asarray(z)
-    if arr.ndim != 0 or np.iscomplexobj(arr):
+    if arr.ndim != 0 or np.iscomplexobj(arr) or not 0.0 < float(arr) < np.inf:
         raise ParameterError(f"z must be a positive real scalar, got {z!r}")
-    val = float(arr)
-    if not np.isfinite(val) or val <= 0.0:
-        raise ParameterError(f"z must be a positive real scalar, got {z!r}")
-    return val
+    return float(arr)
 
 
 def _check_stop(tol, max_iter) -> None:
@@ -132,11 +131,11 @@ class _SpectralTraces:
         self.eigs = class_eigs
 
     def traces(self, coeff: np.ndarray, shift):
-        """Class traces tr(Sigma_l Q), cross traces tr(Sigma_l Q Sigma_h Q) and
-        (1/p) tr Q, for Q = (sum_h coeff_h Sigma_h + shift I)^-1."""
+        """Class traces tr(Sigma_l Q), a callable for the cross traces tr(Sigma_l Q Sigma_h Q)
+        and (1/p) tr Q, for Q = (sum_h coeff_h Sigma_h + shift I)^-1."""
         diag = coeff @ self.eigs + shift
         er = self.eigs / diag
-        return er.sum(axis=1), er @ er.T, (1.0 / diag).sum() / diag.size
+        return er.sum(axis=1), lambda: er @ er.T, (1.0 / diag).sum() / diag.size
 
 
 class _DenseTraces:
@@ -151,13 +150,18 @@ class _DenseTraces:
         self.sigmas = [c.sigma for c in mixture.classes]
 
     def traces(self, coeff: np.ndarray, shift):
-        # The resolvent is explicit: traces against arbitrary class matrices are needed.
-        # Each A_h = Sigma_h Q is one real product with the float view of the C-ordered Q
-        # (a real Q is its own view), and tr(A_l A_h) is the sum of A_l * A_h^T.
         resolvent = np.linalg.inv(_combine(self.sigmas, coeff, shift))
-        products = [(sigma @ resolvent.view(float)).view(resolvent.dtype) for sigma in self.sigmas]
-        traces = np.array([np.trace(a) for a in products])
-        cross = np.array([[np.sum(a * b.T) for b in products] for a in products])
+        # Every Sigma_l is exactly symmetric, so tr(Sigma_l Q) is the sum of Sigma_l * Q: one
+        # product of the raveled Sigma_l with Q's float view, a (Re, Im) pair for a complex Q.
+        flat = resolvent.view(float).reshape(resolvent.size, -1)
+        traces = np.array([s.ravel() @ flat for s in self.sigmas]).view(resolvent.dtype)[:, 0]
+
+        def cross():
+            # Each A_h = Sigma_h Q is one real product with the float view of the C-ordered Q
+            # (a real Q is its own view), and tr(A_l A_h) is the sum of A_l * A_h^T.
+            products = [(s @ resolvent.view(float)).view(resolvent.dtype) for s in self.sigmas]
+            return np.array([[np.sum(a * b.T) for b in products] for a in products])
+
         return traces, cross, np.trace(resolvent) / len(resolvent)
 
 
@@ -172,7 +176,7 @@ def _trace_backend(mixture: Mixture):
 def _solve(backend, mixture: Mixture, shift, tol: float, max_iter: int, start=None):
     """Safeguarded Newton iteration for x = I(x) at ``shift``; see the module doc.
 
-    Starts from ``start``, or from x0 = tr(Sigma_l)/(n |shift|). Returns
+    A ``start`` off the start rule raises :class:`ParameterError`. Returns
     (delta, residual, iterations, converged, damping, stieltjes): the
     residual is ||I(delta) - delta||_inf at the returned iterate, damping the
     smallest step fraction used and stieltjes (1/p) tr Q(delta), read off the
@@ -182,21 +186,26 @@ def _solve(backend, mixture: Mixture, shift, tol: float, max_iter: int, start=No
     """
     n = mixture.n
     weights = mixture.weights
+    # The admissible set: x >= 0 at a real shift, Im x >= 0 at a complex one.
+    bounded = np.imag if isinstance(shift, complex) else np.real
+    if start is None:
+        cur = mixture.class_traces() / (n * shift)
+    else:
+        cur = np.asarray(start)
+        if not (cur.shape == (mixture.k,) and np.can_cast(cur.dtype, type(shift))
+                and np.isfinite(cur).all() and bounded(cur).min() >= 0.0):
+            raise ParameterError(f"start needs {mixture.k} finite admissible entries, got {start}")
+        cur = cur.astype(type(shift))
 
     def evaluate(x):
-        """I(x) - x, its sup-norm, the Jacobian of I at x and (1/p) tr Q(x)."""
+        """I(x) - x, its sup-norm, (1/p) tr Q(x) and a callable for the Jacobian of I at x."""
         traces, cross, mean = backend.traces(weights / (1.0 + x), shift)
         step = traces / n - x
-        return step, float(np.abs(step).max()), cross * (weights / (1.0 + x) ** 2) / n, mean
+        return (step, float(np.abs(step).max()), mean,
+                lambda: cross() * (weights / (1.0 + x) ** 2) / n)
 
-    if start is None:
-        cur = (mixture.class_traces() / (n * abs(shift))).astype(type(shift))
-    else:
-        cur = np.array(start, dtype=type(shift))
-    # The admissible set: x >= 0 at a real shift, Im x >= 0 at a complex one.
-    bounded = np.imag if np.iscomplexobj(cur) else np.real
     eye = np.eye(mixture.k)
-    step, residual, jac, stieltjes = evaluate(cur)
+    step, residual, stieltjes, jacobian = evaluate(cur)
     converged = residual <= tol * max(1.0, float(np.abs(cur).max()))
     damping = beta = 1.0
     stall = np.inf
@@ -207,12 +216,15 @@ def _solve(backend, mixture: Mixture, shift, tol: float, max_iter: int, start=No
         frac = 1.0
         if residual < stall:
             try:
-                newton = np.linalg.solve(eye - jac, step)
+                newton = np.linalg.solve(eye - jacobian(), step)
             except np.linalg.LinAlgError:
                 newton = np.full_like(step, np.nan)
+            # Keep no stale resolvent alive: each is dropped before the next inverse.
+            jacobian = evaluated = None
             while frac >= _MIN_DAMPING:
                 trial = cur + frac * newton
                 if np.isfinite(trial).all() and bounded(trial).min() >= 0.0:
+                    evaluated = None
                     evaluated = evaluate(trial)
                     if evaluated[1] < residual:
                         break
@@ -224,13 +236,30 @@ def _solve(backend, mixture: Mixture, shift, tol: float, max_iter: int, start=No
             if prev_step is not None and np.vdot(prev_step, step).real < 0.0:
                 beta = max(beta / 2.0, _MIN_DAMPING)
             frac, trial, prev_step = beta, cur + beta * step, step
+            jacobian = evaluated = None
             evaluated = evaluate(trial)
         damping = min(damping, frac)
         cur = trial
-        step, residual, jac, stieltjes = evaluated
+        step, residual, stieltjes, jacobian = evaluated
         converged = residual <= tol * max(1.0, float(np.abs(cur).max()))
     converged = converged and float(np.imag(cur).min()) >= -tol and bool(np.isfinite(stieltjes))
     return cur, residual, iterations, converged, damping, stieltjes
+
+
+def _continuation(solve, grid) -> list:
+    """``solve(t, start)`` at each t of ``grid``, from the largest t down, by the module
+    doc's continuation rule; the solutions come back in the grid's order."""
+    sols = [None] * len(grid)
+    done = []  # (t, delta) of the last one or two converged solutions
+    for i in np.argsort(grid, kind="stable")[::-1]:
+        start = None
+        if done:
+            (t0, x0), (t1, x1) = done[0], done[-1]
+            x = x1 + (x1 - x0) * ((grid[i] - t1) / (t1 - t0) if t1 != t0 else 0.0)
+            start = x.real + 1j * np.maximum(x.imag, 0) if np.iscomplexobj(x) else np.maximum(x, 0)
+        sols[i] = sol = solve(grid[i], start)
+        done = [*done[-1:], (grid[i], sol.delta)] if sol.converged else []
+    return sols
 
 
 def interference_map(delta, mixture: Mixture, z: float) -> np.ndarray:
@@ -249,11 +278,13 @@ def solve_delta(
     z: float,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    start=None,
 ) -> FixedPointSolution:
     """Solve delta = I(delta) at real z > 0 by safeguarded Newton steps.
 
-    Starts from x0_l = tr(Sigma_l)/(n z) and keeps every iterate
-    nonnegative. The loop stops once ||I(delta) - delta||_inf is at most
+    Starts from ``start`` (k finite entries >= 0, say predicted from nearby
+    z) or from x0_l = tr(Sigma_l)/(n z), and keeps every iterate >= 0.
+    The loop stops once ||I(delta) - delta||_inf is at most
     ``tol * max(1, ||delta||_inf)``, so ``tol`` is relative to the size of
     delta and a rescaling of every Sigma_l and z leaves the result unchanged.
     The reported residual is ||I(delta) - delta||_inf at the returned
@@ -262,7 +293,7 @@ def solve_delta(
     z = _check_z(z)
     _check_stop(tol, max_iter)
     delta, residual, iterations, converged, _, m = _solve(
-        _trace_backend(mixture), mixture, z, tol, max_iter
+        _trace_backend(mixture), mixture, z, tol, max_iter, start
     )
     return FixedPointSolution(delta, residual, iterations, converged, z, float(m))
 
@@ -277,13 +308,10 @@ def solve_delta_complex(
     """Solve the system at spectral argument w by safeguarded Newton steps.
 
     The map is I(x)_l = (1/n) tr(Sigma_l (sum_h w_h Sigma_h/(1+x_h) - w I)^-1)
-    with Im(w) > 0, and every iterate keeps Im(x) >= 0. A Newton step is
-    halved while it leaves that set or does not lower the residual; once it
-    stalls the loop takes Picard steps x <- (1-beta) x + beta I(x), beta
-    starting at 1 and halved whenever consecutive steps reverse direction,
-    until the residual has halved. ``start`` is
-    the initial iterate, for instance the solution at a nearby w; by default
-    x0_l = tr(Sigma_l)/(n |w|). ``tol`` is relative, as in
+    with Im(w) > 0, and every iterate keeps Im(x) >= 0; Picard steps after a
+    stall take beta halved whenever consecutive steps reverse direction.
+    ``start`` must be k finite entries with Im >= 0; by default the solve
+    starts cold from x0_l = -tr(Sigma_l)/(n w). ``tol`` is relative, as in
     :func:`solve_delta`. Non-convergence within ``max_iter`` is reported
     through the ``converged`` flag.
     """
@@ -291,10 +319,6 @@ def solve_delta_complex(
     if not (np.isfinite(w) and w.imag > 0):
         raise ParameterError(f"w must be finite with positive imaginary part, got {w!r}")
     _check_stop(tol, max_iter)
-    if start is not None:
-        start = np.asarray(start, dtype=complex)
-        if start.shape != (mixture.k,):
-            raise ShapeError(f"start has shape {start.shape}, expected ({mixture.k},)")
     delta, residual, iterations, converged, frac, m = _solve(
         _trace_backend(mixture), mixture, -w, tol, max_iter, start
     )

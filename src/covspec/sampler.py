@@ -169,6 +169,7 @@ def _class_spec(
     floor = _RTOL * max(w.max(), 0.0)
     w = np.where(w > floor, w, 0.0)
     factor = (v * np.sqrt(w)) @ v.T
+    factor.flags.writeable = False  # handed over: the spec keeps it rather than a copy
     return GeneratorSpec(kind, model.mean, factor, nonlinearity, latent)
 
 

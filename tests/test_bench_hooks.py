@@ -78,3 +78,27 @@ def test_setup_decomposes_a_commuting_mixture_once(bench, tmp_path, monkeypatch,
         monkeypatch.setattr(np.linalg, name, counted)
     worker.setup(SRC, [path])
     assert calls == {"cholesky": cholesky, "eigh": eigh, "eigvalsh": 0}
+
+
+def test_predict_solves_every_point_through_the_traced_names(bench, tmp_path):
+    # predict with m z points and q lambda points calls solve_delta m times and
+    # solve_delta_complex q times through the names the tracer patches, so a
+    # refactor that went round them could not zero fixed_point.*_iters.
+    tracer, _, _ = bench
+    config = tmp_path / "predict.ini"
+    config.write_text("[mixture]\np = 6\nn = 10\nclasses = a b\n\n"
+                      "[class.a]\nn_l = 4\nsigma = toeplitz a=0.3\n\n"
+                      "[class.b]\nn_l = 6\nsigma = identity scale=2\n\n"
+                      "[predict]\nz_grid = 0.5 1 2\nlambda_grid = 0.1:4:7\nepsilon = 0.01\n")
+    t = tracer.Tracer()
+    try:
+        t.install()
+        code = covspec.cli.main(["predict", "--config", str(config), "--out", str(tmp_path / "o")])
+    finally:
+        t.uninstall()
+    assert code == 0
+    names = [s.name for s in t.spans]
+    assert names.count("fixed_point.real") == 3
+    assert names.count("fixed_point.complex") == 7
+    assert sum(s.counts["iters"] for s in t.spans if s.name == "fixed_point.real") > 0
+    assert sum(s.counts["iters"] for s in t.spans if s.name == "fixed_point.complex") > 0

@@ -216,6 +216,24 @@ def test_predict_passes_max_iter_to_density_solve(tmp_path):
     assert np.any(dens[:, 2] == 0)
 
 
+@pytest.mark.parametrize("order", ["3 1 0.2 2 0.5", "3 2 1 0.5 0.2"], ids=["shuffled", "reversed"])
+def test_predict_rows_follow_the_z_grid_order(tmp_path, order):
+    # The z grid is walked from its largest z down, but rows are written in
+    # the order of the input, each within tol of its row on an ascending grid.
+    rows = {}
+    for name, grid in (("ascending", "0.2 0.5 1 2 3"), ("given", order)):
+        cfg = BASE.replace("[predict]\n    z_grid = 1 2", f"[predict]\n    z_grid = {grid}")
+        cfg_path = write_config(tmp_path, cfg, name=f"{name}.ini")
+        assert main(["predict", "--config", cfg_path, "--out", str(tmp_path / name)]) == 0
+        rows[name] = [read_csv_file(tmp_path / name / f)[2] for f in ("delta.csv", "stieltjes.csv")]
+    for given, ascending in zip(rows["given"], rows["ascending"]):
+        np.testing.assert_array_equal(given[:, 0], [float(z) for z in order.split()])
+        by_z = {row[0]: row for row in ascending}
+        # z, class index and delta' (one class), or z and m_pred
+        np.testing.assert_allclose(given[:, :3], [by_z[z][:3] for z in given[:, 0]],
+                                   rtol=1e-12, atol=0)
+
+
 def test_simulate_outputs_and_seed_override(tmp_path):
     cfg_path = write_config(tmp_path, BASE)
     out = tmp_path / "out"

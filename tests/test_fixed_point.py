@@ -18,6 +18,7 @@ from covspec import (
     solve_delta_complex,
     toeplitz_covariance,
 )
+from covspec.fixed_point import _DenseTraces, _SpectralTraces, _solve, _trace_backend
 
 
 @pytest.mark.parametrize("gamma", [0.1, 0.5, 1.0, 2.0])
@@ -281,3 +282,113 @@ def test_complex_solver_requires_damping_on_hard_points():
         atol=0,
     )
     assert np.all(sol.delta.imag >= -1e-10)
+
+
+def _two_identity_classes(p=10):
+    return build_mixture([ClassModel(np.eye(p), np.zeros(p), p) for _ in range(2)], 2 * p)
+
+
+@pytest.mark.parametrize("start", [
+    [0.1 - 0.5j, 0.2 - 0.5j], [np.nan, 0.2], [0.1, np.inf], [0.1], [[0.1, 0.2]], ["a", "b"],
+], ids=["lower-half-plane", "nan", "inf", "short", "2-d", "text"])
+def test_complex_solver_rejects_a_start_off_the_start_rule(start):
+    # From the lower half plane the solve would run into the Im delta < 0
+    # branch, and from a NaN it would return NaN after 0 steps: both must be
+    # refused, not merely flagged unconverged.
+    with pytest.raises(ParameterError, match="start needs 2 finite admissible entries"):
+        solve_delta_complex(_two_identity_classes(), 1.0 + 0.01j, start=start)
+
+
+@pytest.mark.parametrize("start", [[-0.1, 0.2], [np.nan, 0.2], [0.1], [0.1 + 0.1j, 0.2]],
+                         ids=["negative", "nan", "short", "complex"])
+def test_real_solver_rejects_a_start_off_the_start_rule(start):
+    with pytest.raises(ParameterError, match="start needs 2 finite admissible entries"):
+        solve_delta(_two_identity_classes(), 1.0, start=start)
+
+
+def test_both_solvers_accept_an_admissible_start():
+    # A start at the solution returns it after 0 steps; one on the boundary
+    # of the admissible set (0, or a real start for a complex solve) is fine.
+    mix = _two_identity_classes()
+    cold = solve_delta(mix, 0.5)
+    warm = solve_delta(mix, 0.5, start=cold.delta)
+    assert warm.iterations == 0 and np.array_equal(warm.delta, cold.delta)
+    np.testing.assert_allclose(solve_delta(mix, 0.5, start=[0, 0]).delta, cold.delta, rtol=1e-12)
+    w = 1.0 + 0.01j
+    sol = solve_delta_complex(mix, w, start=[0.5, 0.5])
+    assert sol.converged
+    np.testing.assert_allclose(sol.delta, solve_delta_complex(mix, w).delta, rtol=1e-9)
+
+
+def test_cold_start_is_the_large_shift_limit_and_admissible_at_a_complex_shift():
+    # x0_l = tr(Sigma_l)/(n s) at s = -w: Im x0 = tr(Sigma_l) eps/(n |w|^2) > 0.
+    mix = _two_identity_classes()
+    for lam in (-2.0, 0.0, 1.0, 3.0):
+        w = complex(lam, 0.01)
+        x0 = _solve(_trace_backend(mix), mix, -w, 1e-10, 0)[0]
+        np.testing.assert_allclose(x0, 10 / (20 * -w) * np.ones(2), rtol=1e-15)
+        assert np.all(x0.imag > 0)
+    x0 = _solve(_trace_backend(mix), mix, 2.0, 1e-12, 0)[0]
+    np.testing.assert_array_equal(x0, [0.25, 0.25])
+
+
+@pytest.mark.parametrize("shift", [0.7, -complex(1.3, 0.2)], ids=["real", "complex"])
+def test_dense_traces_are_the_traces_of_sigma_q(rng, shift):
+    # tr(Sigma_l Q) is read as the sum of Sigma_l * Q, exact for symmetric Sigma_l.
+    sigmas = []
+    for _ in range(3):
+        a = rng.standard_normal((30, 30))
+        sigmas.append(a @ a.T / 30)
+    mix = build_mixture([ClassModel((s + s.T) / 2, np.zeros(30), 10) for s in sigmas], 30)
+    coeff = mix.weights / (1.0 + rng.uniform(0.1, 2.0, 3))
+    traces = _DenseTraces(mix).traces(coeff, shift)[0]
+    combined = sum(c * m.sigma for c, m in zip(coeff, mix.classes)) + shift * np.eye(30)
+    q = np.linalg.inv(combined)
+    direct = [np.trace(m.sigma @ q) for m in mix.classes]
+    np.testing.assert_allclose(traces, direct, rtol=1e-12, atol=0)
+
+
+class _Counted:
+    """A backend that counts its evaluations and the cross traces it forms."""
+
+    def __init__(self, backend):
+        self.backend, self.evaluations, self.crosses = backend, 0, 0
+
+    def traces(self, coeff, shift):
+        traces, cross, mean = self.backend.traces(coeff, shift)
+        self.evaluations += 1
+
+        def counted():
+            self.crosses += 1
+            return cross()
+
+        return traces, counted, mean
+
+
+@pytest.mark.parametrize("kind", ["spectral", "dense"])
+def test_cross_traces_are_formed_once_per_newton_step(monkeypatch, kind):
+    # The Sigma_l Q products (dense) or er @ er.T (spectral) are formed for an
+    # accepted, unconverged iterate whose next step is Newton, and only there:
+    # never for the converged iterate.
+    t = toeplitz_covariance(0.3, 12)
+    second = t @ t if kind == "spectral" else np.diag(np.arange(1.0, 13.0))
+    mix = build_mixture([ClassModel(s, np.zeros(12), 6) for s in (t, (second + second.T) / 2)], 12)
+    backend = _trace_backend(mix)
+    assert isinstance(backend, _SpectralTraces if kind == "spectral" else _DenseTraces)
+    counted = _Counted(backend)
+    monkeypatch.setattr("covspec.fixed_point._trace_backend", lambda mixture: counted)
+    newton_steps = 0
+    solve = np.linalg.solve
+
+    def counting_solve(a, b):
+        nonlocal newton_steps
+        newton_steps += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    for run in (lambda: solve_delta(mix, 0.3), lambda: solve_delta_complex(mix, 2.0 + 0.01j)):
+        counted.evaluations = counted.crosses = newton_steps = 0
+        sol = run()
+        assert sol.converged and sol.iterations >= 2
+        assert counted.crosses == newton_steps == sol.iterations
+        assert counted.evaluations >= sol.iterations + 1

@@ -2,15 +2,19 @@
 
 The fixed point must converge and give the same answer whatever the units
 of the covariances; the backends' cross traces must be the derivative of
-their traces; the density sweep must converge across a whole grid; and the
-Stieltjes transform must reach its known limits at both ends of z.
+their traces; the density sweep must converge across a whole grid, each
+point started by the continuation rule; and the Stieltjes transform must
+reach its known limits at both ends of z.
 """
+
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import covspec.equivalent
-from conftest import identity_mixture, mp_positive_root
+from conftest import mp_positive_root
 from test_equivalent import _rotated_diagonal_mixture
 from covspec import (
     ClassModel,
@@ -21,7 +25,7 @@ from covspec import (
     stieltjes_prediction,
     toeplitz_covariance,
 )
-from covspec.fixed_point import _DenseTraces, _SpectralTraces, _trace_backend
+from covspec.fixed_point import _DenseTraces, _SpectralTraces, _continuation, _trace_backend
 
 
 def _mixture(sigmas, counts):
@@ -91,7 +95,7 @@ def _central_difference(backend, coeff, shift, h):
 
 def _check_cross_traces(backend, coeff, shift):
     # d tr(Sigma_l Q) / d coeff_h = -tr(Sigma_l Q Sigma_h Q).
-    cross = backend.traces(coeff, shift)[1]
+    cross = backend.traces(coeff, shift)[1]()
     numeric = _central_difference(backend, coeff, shift, 1e-5)
     np.testing.assert_allclose(-cross, numeric, rtol=1e-6, atol=0)
     return cross
@@ -126,29 +130,89 @@ def test_cross_traces_are_the_derivative_of_traces(rng, k):
         _check_cross_traces(_DenseTraces(mix), coeff, shift)
 
 
-def test_density_sweep_continues_from_the_right_neighbour(monkeypatch):
-    # Points are solved right to left, each from its neighbour's solution;
-    # the first point, and every point after an unconverged one, starts cold.
+def _record_density_starts(monkeypatch, unconverged_at=None):
+    """Patch the density solve to record (lambda, start, solution) per call; the
+    call numbered ``unconverged_at`` is reported unconverged."""
     calls = []
     solve = covspec.equivalent.solve_delta_complex
 
     def recording(mixture, w, **kwargs):
         sol = solve(mixture, w, **kwargs)
+        if len(calls) == unconverged_at:
+            sol = dataclasses.replace(sol, converged=False)
         calls.append((w.real, kwargs["start"], sol))
         return sol
 
     monkeypatch.setattr(covspec.equivalent, "solve_delta_complex", recording)
-    mix = identity_mixture(20, 40)
+    return calls
+
+
+def _secant(t, first, second):
+    (t0, x0), (t1, x1) = first, second
+    x = x1 + (x1 - x0) * ((t - t1) / (t1 - t0))
+    return x.real + 1j * np.maximum(x.imag, 0.0)
+
+
+def test_density_sweep_starts_from_the_projected_secant(monkeypatch):
+    # Points are solved right to left: the first cold, the second from the
+    # first's solution, every later one from the secant through the last two
+    # solutions, projected onto Im x >= 0.
+    calls = _record_density_starts(monkeypatch)
+    mix = _toeplitz_pair(20, [10, 30])
     lambdas = np.linspace(0.2, 3.0, 8)
-    density_prediction(mix, lambdas, 1e-3)
+    pred = density_prediction(mix, lambdas, 1e-3)
+    assert pred.converged.all()
     assert [c[0] for c in calls] == list(lambdas[::-1])
     assert calls[0][1] is None
-    for (_, _, before), (_, start, _) in zip(calls, calls[1:]):
-        assert before.converged
-        np.testing.assert_array_equal(start, before.delta)
+    np.testing.assert_array_equal(calls[1][1], calls[0][2].delta)
+    for j in range(2, len(calls)):
+        before = [(calls[i][0], calls[i][2].delta) for i in (j - 2, j - 1)]
+        np.testing.assert_array_equal(calls[j][1], _secant(calls[j][0], *before))
+
+
+def test_an_unconverged_density_point_resets_the_history(monkeypatch):
+    calls = _record_density_starts(monkeypatch, unconverged_at=3)
+    density_prediction(_toeplitz_pair(20, [10, 30]), np.linspace(0.2, 3.0, 8), 1e-3)
+    assert calls[4][1] is None
+    np.testing.assert_array_equal(calls[5][1], calls[4][2].delta)
+    before = [(calls[i][0], calls[i][2].delta) for i in (4, 5)]
+    np.testing.assert_array_equal(calls[6][1], _secant(calls[6][0], *before))
     calls.clear()
-    density_prediction(mix, lambdas, 1e-3, max_iter=1)
+    density_prediction(_toeplitz_pair(20, [10, 30]), np.linspace(0.2, 3.0, 8), 1e-3, max_iter=1)
     assert all(start is None for _, start, _ in calls)
+
+
+@pytest.mark.parametrize("deltas, projected", [
+    ([[1.0 + 1.0j], [0.5 + 0.2j]], [0.0 + 0.0j]),
+    ([[1.0], [0.5]], [0.0]),
+    ([[0.2 + 1.0j], [0.5 + 2.0j]], [0.8 + 3.0j]),
+], ids=["complex-clipped", "real-clipped", "inside"])
+def test_continuation_projects_the_secant_onto_the_admissible_set(deltas, projected):
+    # Walked 3, 2, 1: the secant through t = 3 and t = 2 meets t = 1 at
+    # 2 delta(2) - delta(3), clipped to Im x >= 0 (complex) or x >= 0 (real).
+    starts = []
+
+    def solve(t, start):
+        starts.append(start)
+        return SimpleNamespace(delta=np.array(deltas[min(len(starts) - 1, 1)]), converged=True)
+
+    _continuation(solve, np.array([1.0, 2.0, 3.0]))
+    assert starts[0] is None
+    np.testing.assert_array_equal(starts[1], deltas[0])
+    np.testing.assert_array_equal(starts[2], projected)
+
+
+def test_continuation_returns_solutions_in_grid_order_and_survives_repeats():
+    seen = []
+
+    def solve(t, start):
+        seen.append(t)
+        return SimpleNamespace(delta=np.array([1.0 / t]), converged=True, t=t)
+
+    grid = np.array([2.0, 5.0, 2.0, 1.0, 5.0])
+    sols = _continuation(solve, grid)
+    assert [s.t for s in sols] == list(grid)
+    assert seen == sorted(grid, reverse=True)
 
 
 def test_readme_density_converges_on_a_fine_log_grid():

@@ -174,6 +174,29 @@ def test_generator_spec_rejects_zero_dimension():
         GeneratorSpec(kind="gaussian", mean=np.zeros(0), factor=np.zeros((0, 0)))
 
 
+def test_generator_spec_keeps_a_handed_over_factor_and_copies_a_writeable_one(monkeypatch):
+    # The class's factor is built read-only and handed over, so the spec holds
+    # no second p x p copy of it; a caller's writeable factor is still copied.
+    kept = []
+    freeze = covspec.sampler._freeze
+
+    def spying(a):
+        out = freeze(a)
+        kept.append(out is a)
+        return out
+
+    monkeypatch.setattr(covspec.sampler, "_freeze", spying)
+    spec = gaussian_class_spec(toeplitz_covariance(0.3, 5))
+    assert kept == [True, True]  # mean and factor
+    assert not spec.factor.flags.writeable
+    factor = np.eye(3)
+    spec = GeneratorSpec("gaussian", np.zeros(3), factor)
+    assert spec.factor is not factor and factor.flags.writeable
+    assert not spec.factor.flags.writeable
+    factor[0, 0] = 5.0
+    assert spec.factor[0, 0] == 1.0
+
+
 def test_class_model_of_gaussian_is_exact():
     t = toeplitz_covariance(0.3, 5)
     mean = np.full(5, 0.2)
