@@ -106,10 +106,7 @@ def cmd_predict(
     write_csv(
         os.path.join(out_dir, "density.csv"),
         ("lambda", "density", "converged"),
-        [
-            (lam, den, bool(conv))
-            for lam, den, conv in zip(pred.lambdas, pred.density, pred.converged)
-        ],
+        list(zip(pred.lambdas, pred.density, pred.converged)),
         comments=(
             f"atom_at_zero = {fmt_float(pred.atom_at_zero)}",
             f"epsilon = {fmt_float(pred.epsilon)}",
@@ -144,10 +141,7 @@ def cmd_simulate(
     write_csv(
         os.path.join(out_dir, "histogram.csv"),
         ("bin_left", "bin_right", "mass"),
-        [
-            (hist.edges[i], hist.edges[i + 1], hist.masses[i])
-            for i in range(hist.masses.size)
-        ],
+        list(zip(hist.edges[:-1], hist.edges[1:], hist.masses)),
         comments=(f"seed = {seed}",),
     )
     return 0

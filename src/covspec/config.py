@@ -32,7 +32,7 @@ from .errors import DataError, ParameterError, ShapeError
 from .io import read_matrix
 from .model import ClassModel, Mixture, _check_class, _check_counts, _flush, build_mixture
 from .model import toeplitz_covariance
-from .sampler import _check_law, _class_spec
+from .sampler import _check_law, _class_spec, _diagonal
 
 __all__ = ["ClassConfig", "ExperimentConfig", "load_config", "parse_grid"]
 
@@ -88,8 +88,8 @@ class ExperimentConfig:
 
     def generator_pairs(self):
         """(spec, n_l) per class. A zero-mean class with an off-diagonal sigma entry takes its
-        root off a certified joint eigenbasis; others run their own eigh (exact if diagonal)."""
-        shared = [not c.mean.any() and np.triu(c.sigma, 1).any() for c in self.class_configs]
+        root off a certified joint eigenbasis; others are diagonal (no eigh) or run their own."""
+        shared = [not c.mean.any() and _diagonal(c.sigma) is None for c in self.class_configs]
         rows, v = self.mixture().eigenpairs if len(shared) > 1 and any(shared) else (None, None)
         return [(_in_section(c.where, _class_spec, c.generator, c.model, c.nonlinearity, c.latent,
                              (rows[l], v) if s and v is not None else None), c.n_l)

@@ -168,9 +168,7 @@ class _DenseTraces:
 def _trace_backend(mixture: Mixture):
     """Joint-eigenbasis traces when the classes commute, dense ones otherwise."""
     eigs = mixture.spectral()
-    if eigs is not None:
-        return _SpectralTraces(eigs)
-    return _DenseTraces(mixture)
+    return _DenseTraces(mixture) if eigs is None else _SpectralTraces(eigs)
 
 
 def _solve(backend, mixture: Mixture, shift, tol: float, max_iter: int, start=None):

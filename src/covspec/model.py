@@ -230,6 +230,9 @@ def _joint_eigenbasis(sigmas) -> tuple[np.ndarray, np.ndarray] | None:
     when every r_b = Sigma_l v_b - d_b v_b, d_b = v_b^T Sigma_l v_b, has ||r_b / s_l||_2 <= _RTOL
     (scaled first, so no square underflows). An off-diagonal entry of V^T Sigma_l V is
     v_a^T r_b, of size at most ||r_b||_2: never looser than bounding those entries by _RTOL s_l.
+
+    The combination (of order 1) gets 2^-400 x x^T, ~2^340 below eigh's backward error, so that
+    LAPACK's reduction of a recipe tail at the 2^-511 flush floor runs in normal arithmetic.
     """
     p = sigmas[0].shape[0]
     k = len(sigmas)
@@ -243,7 +246,7 @@ def _joint_eigenbasis(sigmas) -> tuple[np.ndarray, np.ndarray] | None:
     # Generic combination: irrational-looking weights break ties between
     # classes so the combination is simple whenever one exists.
     weights = [(1.0 + (j + 1) / np.pi) / s for j, s in enumerate(scales)]
-    _, v = np.linalg.eigh(_combine(sigmas, weights))
+    _, v = np.linalg.eigh(_combine(sigmas, weights) + np.outer(x, 2.0**-400 * x))
     eigs = np.empty((k, p))
     for j, s in enumerate(sigmas):
         sv = s @ v

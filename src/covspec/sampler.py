@@ -87,6 +87,12 @@ def _check_law(kind: str, nonlinearity: str, latent: str | None) -> str:
     return latent
 
 
+def _diagonal(a: np.ndarray) -> np.ndarray | None:
+    """The one diagonal test: ``a``'s diagonal when it is square and zero elsewhere, else None."""
+    d = a.diagonal()
+    return d if a.shape[0] == a.shape[1] and np.count_nonzero(a) == np.count_nonzero(d) else None
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorSpec:
     """Recipe for drawing one class's columns."""
@@ -124,10 +130,7 @@ class GeneratorSpec:
     @cached_property
     def diagonal(self) -> np.ndarray | None:
         """The factor's diagonal when it is square and zero elsewhere, else None."""
-        f = self.factor
-        if f.shape[0] != f.shape[1] or np.count_nonzero(f) != np.count_nonzero(f.diagonal()):
-            return None
-        return f.diagonal()
+        return _diagonal(self.factor)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,13 +165,17 @@ def _class_spec(
     kind: str, model: ClassModel, nonlinearity: str = "identity", latent=None, eigh=None
 ) -> GeneratorSpec:
     """Generator of ``kind`` for a class ClassModel has judged: its factor is the principal
-    square root of S = sigma - mean mean^T (E[y y^T] = sigma for an affine kind), built from
-    ``eigh`` = (w, V), eigen-pairs of S in any order, or S's own eigh. Eigenvalues below the
-    relative floor count as zero, so a nearly singular class gets a clean low-rank factor."""
-    w, v = eigh or np.linalg.eigh(model.sigma - np.outer(model.mean, model.mean))
+    square root of S = sigma - mean mean^T (E[y y^T] = sigma for an affine kind), from ``eigh``
+    = (w, V), eigen-pairs of S in any order, else from a diagonal S's diagonal (no eigh, the
+    same bits), else from S's own eigh. Eigenvalues below the relative floor count as zero."""
+    if eigh is None:
+        centered = model.sigma - np.outer(model.mean, model.mean)
+        d = _diagonal(centered)
+        eigh = np.linalg.eigh(centered) if d is None else (d, None)
+    w, v = eigh
     floor = _RTOL * max(w.max(), 0.0)
     w = np.where(w > floor, w, 0.0)
-    factor = (v * np.sqrt(w)) @ v.T
+    factor = np.diag(np.sqrt(w)) if v is None else (v * np.sqrt(w)) @ v.T
     factor.flags.writeable = False  # handed over: the spec keeps it rather than a copy
     return GeneratorSpec(kind, model.mean, factor, nonlinearity, latent)
 

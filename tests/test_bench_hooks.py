@@ -58,13 +58,14 @@ def test_tracer_patches_every_target_and_setup_runs_traced(bench, tmp_path):
 
 @pytest.mark.parametrize("config, cholesky, eigh", [
     (0, 2, 1),  # README mixture: one PSD verdict per class, one joint eigh
-    (1, 3, 2),  # three-class: plus the identity class's own exact eigh
+    (1, 3, 1),  # three-class: the identity class's root is its diagonal, with no eigh
 ], ids=["readme", "three"])
 def test_setup_decomposes_a_commuting_mixture_once(bench, tmp_path, monkeypatch, config,
                                                    cholesky, eigh):
     # Set-up builds the mixture, the generator specs and the spectral record:
     # each zero-mean, non-diagonal class's square root is read off the joint
-    # eigenbasis that the record already computed.
+    # eigenbasis that the record already computed, and a diagonal class's is
+    # the square root of its diagonal.
     import numpy as np
 
     _, worker, workloads = bench

@@ -578,19 +578,25 @@ trials = 2
 """
 
 
-@pytest.mark.parametrize("command, cholesky, eigh", [
-    (cmd_compare, 2, 1),  # the PSD rule per class, the joint eigh
-    (cmd_simulate, 2, 1),  # the same: each square root is read off the joint basis
-], ids=["compare", "simulate"])
-def test_sampling_commands_decompose_each_class_once(tmp_path, counted, command, cholesky, eigh):
-    # ClassModel judges each class once; the mixture reads that one judged
-    # class, and the sampler takes each zero-mean class's square root from the
-    # mixture's one joint eigenbasis.
-    config = _predict_config(tmp_path, _COMMUTING_PAIR, "pair.ini")
+_IDENTITY_PAIR = _COMMUTING_PAIR.replace("sigma = toeplitz a=0.3 power=2", "sigma = identity")
+
+
+@pytest.mark.parametrize("command, text", [
+    (cmd_compare, _COMMUTING_PAIR),
+    (cmd_simulate, _COMMUTING_PAIR),
+    (cmd_compare, _IDENTITY_PAIR),
+    (cmd_simulate, _IDENTITY_PAIR),
+], ids=["compare", "simulate", "compare-identity", "simulate-identity"])
+def test_sampling_commands_decompose_each_class_once(tmp_path, counted, command, text):
+    # ClassModel judges each class once (one Cholesky each); the mixture reads
+    # that one judged class, and the sampler takes each zero-mean class's square
+    # root from the mixture's one joint eigenbasis, or, for the identity class,
+    # from its diagonal with no eigh of its own: one eigh in all.
+    config = _predict_config(tmp_path, text, "pair.ini")
     (tmp_path / "out").mkdir()
     assert command(config, str(tmp_path / "out")) == 0
-    assert counted["cholesky"].calls == cholesky
-    assert counted["eigh"].calls == eigh
+    assert counted["cholesky"].calls == 2
+    assert counted["eigh"].calls == 1
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e-300, 1e150])
@@ -601,6 +607,39 @@ def test_certificate_judges_the_scaled_residual_at_extreme_scales(scale):
     assert _joint_eigenbasis([scale * s for s in _random_pair(30, 0)]) is None
     t = toeplitz_covariance(0.3, 30)
     assert _joint_eigenbasis([scale * t, scale * _symmetric(t @ t)]) is not None
+
+
+def test_joint_eigh_floor_leaves_the_record_where_an_unfloored_eigh_puts_it():
+    # The record from the floored combination against the rows that an eigh of
+    # the bare combination gives, on a README-like mixture: equal to far below
+    # eigh's own error.
+    t = toeplitz_covariance(0.1, 200)
+    sigmas = [10.0 * _symmetric(t @ t), 10.0 * t]
+    rows, v = build_mixture([ClassModel(s, np.zeros(200), 100) for s in sigmas], 200).eigenpairs
+    weights = [(1.0 + (j + 1) / np.pi) / np.abs(s).max() for j, s in enumerate(sigmas)]
+    _, v0 = np.linalg.eigh(weights[0] * sigmas[0] + weights[1] * sigmas[1])
+    for row, s in zip(rows, sigmas):
+        reference = np.einsum("ib,ib->b", v0, s @ v0)
+        assert np.abs(row - reference).max() <= 1e-13 * np.abs(s).max()
+    assert np.abs(v.T @ v - np.eye(200)).max() <= 1e-13
+
+
+@pytest.mark.parametrize("text", [README_MIXTURE, THREE_CLASS_MIXTURE], ids=["readme", "three"])
+def test_joint_eigh_runs_on_entries_that_stay_normal(tmp_path, text, monkeypatch):
+    # The recipe tails decay to the 2^-511 flush floor; the matrix the joint eigh
+    # reduces keeps every entry within 2^-420 of its largest, so LAPACK's
+    # Householder products stay out of subnormal arithmetic.
+    seen = []
+    eigh = np.linalg.eigh
+
+    def spy(a, *args, **kwargs):
+        seen.append(np.abs(a).min() / np.abs(a).max())
+        return eigh(a, *args, **kwargs)
+
+    mixture = _predict_config(tmp_path, text, "exp.ini").mixture()
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    assert mixture.spectral() is not None
+    assert len(seen) == 1 and seen[0] >= 2.0**-420
 
 
 def _rotated_with_lambda_min(lam_over_tau, mean, scale=1.0):
@@ -710,12 +749,44 @@ def test_joint_basis_roots_match_each_class_own_root(tmp_path, text):
 
 
 def test_diagonal_class_keeps_its_own_exact_root(tmp_path):
-    # The identity class of a commuting mixture: its own eigh is exact, so the
-    # factor stays diagonal and the sampler scales rows.
+    # The identity class of a commuting mixture: its root is its diagonal, so
+    # the factor stays diagonal and the sampler scales rows.
     config = _predict_config(tmp_path, THREE_CLASS_MIXTURE, "three.ini")
     iso = config.generator_pairs()[0][0]
     assert iso.diagonal is not None
     assert iso.factor.tobytes() == gaussian_class_spec(np.eye(600)).factor.tobytes()
+
+
+@pytest.mark.parametrize("diag", [
+    np.ones(50), np.arange(1.0, 51.0), np.r_[0.0, np.arange(1.0, 50.0)], np.r_[1e-12, np.ones(49)],
+], ids=["identity", "1..p", "zero-entry", "below-floor"])
+def test_diagonal_root_is_the_square_root_of_the_floored_diagonal(diag, counted):
+    # No eigh: the factor is diag(sqrt(d)) with d floored at 1e-10 of its top
+    # entry, to the bit the factor that the class's own eigh gives.
+    model = ClassModel(np.diag(diag), np.zeros(50), 1)
+    spec = _class_spec("gaussian", model)
+    assert counted["eigh"].calls == 0
+    floored = np.where(diag > 1e-10 * diag.max(), diag, 0.0)
+    assert spec.factor.tobytes() == np.diag(np.sqrt(floored)).tobytes()
+    assert spec.factor.tobytes() == _own_root(model).tobytes()
+    assert spec.diagonal.tobytes() == np.sqrt(floored).tobytes()
+
+
+def test_simulate_on_diagonal_classes_writes_the_bytes_of_their_own_eigh_roots(
+    tmp_path, monkeypatch
+):
+    # The same files as when each class ran its own eigh for its root.
+    import covspec.sampler
+
+    text = _IDENTITY_PAIR.replace("toeplitz a=0.3 scale=2", "identity scale=2")
+    written = []
+    for name in ("diagonal", "eigh"):
+        out = tmp_path / name
+        out.mkdir()
+        assert cmd_simulate(_predict_config(tmp_path, text, "iso.ini"), str(out)) == 0
+        written.append([(out / f).read_bytes() for f in ("spectrum.csv", "histogram.csv")])
+        monkeypatch.setattr(covspec.sampler, "_diagonal", lambda a: None)  # the next run: eigh
+    assert written[0] == written[1]
 
 
 _NON_COMMUTING_PAIR = """
