@@ -18,7 +18,6 @@ from .model import (
     toeplitz_covariance,
 )
 from .fixed_point import (
-    ComplexFixedPointSolution,
     FixedPointSolution,
     interference_map,
     solve_delta,
@@ -65,7 +64,6 @@ from .conc_lab import (
     tail_thresholds,
 )
 from .majorization import (
-    OrderedSpectrum,
     check_sigma_lipschitz,
     check_singular_triangle,
     decreasing_rearrangement,

@@ -90,8 +90,6 @@ class DiameterEstimate:
     value: float
     stderr: float
     per_functional: dict
-    trials: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -103,7 +101,6 @@ class QuadFormCheck:
     pivot: float
     bias: float
     stderr: float
-    trials: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,9 +114,6 @@ class DeltaEstimate:
     delta_hat: np.ndarray
     stderr: np.ndarray
     draws: np.ndarray
-    trials: int
-    z: float
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -260,7 +254,7 @@ def observable_diameter(
             best = name
     value, stderr = per[best]
     return DiameterEstimate(
-        value=value, stderr=stderr, per_functional=per, trials=trials, seed=seed
+        value=value, stderr=stderr, per_functional=per
     )
 
 
@@ -288,7 +282,6 @@ def quadratic_form_check(
         pivot=pivot,
         bias=mean - pivot,
         stderr=std / np.sqrt(trials),
-        trials=trials,
     )
 
 
@@ -327,9 +320,6 @@ def delta_empirical(pairs, z: float, trials: int, seed: int) -> DeltaEstimate:
         delta_hat=delta_hat,
         stderr=stderr,
         draws=draws,
-        trials=trials,
-        z=z,
-        seed=seed,
     )
 
 

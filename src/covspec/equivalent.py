@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, ParameterError, ShapeError
-from .fixed_point import DEFAULT_MAX_ITER, DEFAULT_TOL, solve_delta, solve_delta_complex
+from .fixed_point import DEFAULT_COMPLEX_MAX_ITER, DEFAULT_COMPLEX_TOL, solve_delta_complex
+from .fixed_point import DEFAULT_MAX_ITER, DEFAULT_TOL, solve_delta
 from .fixed_point import _check_z, _coefficients, _continuation, _trace_backend
 from .model import Mixture, _combine, _rank
 
@@ -58,8 +59,8 @@ def deterministic_resolvent(mixture: Mixture, delta, z: float) -> np.ndarray:
 def stieltjes_from_delta(mixture: Mixture, delta, z: float) -> float:
     """(1/p) tr Qbar(z) at a given fixed-point vector.
 
-    A solve already carries this value at its own delta as
-    ``FixedPointSolution.stieltjes``.
+    A solve at z already carries this value at its own delta as the float
+    ``FixedPointSolution.stieltjes``; this recomputes it for any delta.
     """
     z = _check_z(z)
     coeff = _coefficients(mixture, delta)
@@ -102,8 +103,8 @@ def density_prediction(
     mixture: Mixture,
     lambdas,
     epsilon: float,
-    tol: float = 1e-10,
-    max_iter: int = 2_000,
+    tol: float = DEFAULT_COMPLEX_TOL,
+    max_iter: int = DEFAULT_COMPLEX_MAX_ITER,
 ) -> SpectralPrediction:
     """Smoothed spectral density profile on a real grid.
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ParameterError", "ShapeError", "DataError", "ConvergenceError"]
+
 
 class ParameterError(ValueError):
     """A scalar or option argument is outside its admissible range."""

@@ -56,48 +56,33 @@ import numpy as np
 from .errors import ParameterError, ShapeError
 from .model import Mixture, _combine
 
-__all__ = ["FixedPointSolution", "ComplexFixedPointSolution", "interference_map", "solve_delta",
-           "solve_delta_complex"]
+__all__ = ["FixedPointSolution", "interference_map", "solve_delta", "solve_delta_complex"]
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 10_000
+DEFAULT_COMPLEX_TOL = 1e-10
+DEFAULT_COMPLEX_MAX_ITER = 2_000
 _MIN_DAMPING = 1.0 / 64.0
 
 
 @dataclass(frozen=True)
 class FixedPointSolution:
-    """Result of the nonnegative fixed-point solve at real z > 0.
+    """Result of the fixed-point solve at a real shift z > 0 or a complex one -w.
 
     ``delta`` is the fixed-point vector and ``residual`` the sup-norm of
     I(delta) - delta at the returned iterate; ``iterations`` counts solver
-    steps. ``stieltjes`` is the predicted Stieltjes value
-    m(-z) = (1/p) tr Qbar(z) at ``delta``, from the solve's last evaluation.
+    steps and ``damping`` is the smallest step fraction used, 1.0 when every
+    step was a full Newton step. ``stieltjes`` is (1/p) tr Q(delta) from the
+    solve's last evaluation: the float m(-z) at a real shift, the complex
+    m(w) at a complex one.
     """
 
     delta: np.ndarray
     residual: float
     iterations: int
     converged: bool
-    z: float
-    stieltjes: float
-
-
-@dataclass(frozen=True)
-class ComplexFixedPointSolution:
-    """Result of the solve at a complex spectral argument w, Im(w) > 0.
-
-    ``damping`` is the smallest step fraction the loop used: 1.0 when every
-    step was a full Newton step. ``stieltjes`` is m(w) =
-    (1/p) tr(sum_l w_l Sigma_l/(1 + delta_l) - w I)^-1 at ``delta``.
-    """
-
-    delta: np.ndarray
-    residual: float
-    iterations: int
-    converged: bool
-    w: complex
     damping: float
-    stieltjes: complex
+    stieltjes: float | complex
 
 
 def _check_z(z) -> float:
@@ -174,13 +159,11 @@ def _trace_backend(mixture: Mixture):
 def _solve(backend, mixture: Mixture, shift, tol: float, max_iter: int, start=None):
     """Safeguarded Newton iteration for x = I(x) at ``shift``; see the module doc.
 
-    A ``start`` off the start rule raises :class:`ParameterError`. Returns
-    (delta, residual, iterations, converged, damping, stieltjes): the
-    residual is ||I(delta) - delta||_inf at the returned iterate, damping the
-    smallest step fraction used and stieltjes (1/p) tr Q(delta), read off the
-    evaluation at delta. A converged iterate with an imaginary part below
-    -tol or a non-finite stieltjes is flagged as not converged, and a
-    non-finite residual stops the loop unconverged.
+    A ``start`` off the start rule raises :class:`ParameterError`. Returns a
+    :class:`FixedPointSolution` for a real and a complex shift alike, its
+    ``stieltjes`` read off the evaluation at delta. A converged iterate with
+    an imaginary part below -tol or a non-finite stieltjes is flagged as not
+    converged, and a non-finite residual stops the loop unconverged.
     """
     n = mixture.n
     weights = mixture.weights
@@ -241,7 +224,7 @@ def _solve(backend, mixture: Mixture, shift, tol: float, max_iter: int, start=No
         step, residual, stieltjes, jacobian = evaluated
         converged = residual <= tol * max(1.0, float(np.abs(cur).max()))
     converged = converged and float(np.imag(cur).min()) >= -tol and bool(np.isfinite(stieltjes))
-    return cur, residual, iterations, converged, damping, stieltjes
+    return FixedPointSolution(cur, residual, iterations, converged, damping, stieltjes.item())
 
 
 def _continuation(solve, grid) -> list:
@@ -290,19 +273,16 @@ def solve_delta(
     """
     z = _check_z(z)
     _check_stop(tol, max_iter)
-    delta, residual, iterations, converged, _, m = _solve(
-        _trace_backend(mixture), mixture, z, tol, max_iter, start
-    )
-    return FixedPointSolution(delta, residual, iterations, converged, z, float(m))
+    return _solve(_trace_backend(mixture), mixture, z, tol, max_iter, start)
 
 
 def solve_delta_complex(
     mixture: Mixture,
     w: complex,
-    tol: float = 1e-10,
-    max_iter: int = 2_000,
+    tol: float = DEFAULT_COMPLEX_TOL,
+    max_iter: int = DEFAULT_COMPLEX_MAX_ITER,
     start=None,
-) -> ComplexFixedPointSolution:
+) -> FixedPointSolution:
     """Solve the system at spectral argument w by safeguarded Newton steps.
 
     The map is I(x)_l = (1/n) tr(Sigma_l (sum_h w_h Sigma_h/(1+x_h) - w I)^-1)
@@ -317,7 +297,4 @@ def solve_delta_complex(
     if not (np.isfinite(w) and w.imag > 0):
         raise ParameterError(f"w must be finite with positive imaginary part, got {w!r}")
     _check_stop(tol, max_iter)
-    delta, residual, iterations, converged, frac, m = _solve(
-        _trace_backend(mixture), mixture, -w, tol, max_iter, start
-    )
-    return ComplexFixedPointSolution(delta, residual, iterations, converged, w, frac, complex(m))
+    return _solve(_trace_backend(mixture), mixture, -w, tol, max_iter, start)

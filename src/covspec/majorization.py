@@ -15,14 +15,11 @@ never flip a true relation; it scales with the larger total sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ShapeError
 
 __all__ = [
-    "OrderedSpectrum",
     "decreasing_rearrangement",
     "majorizes",
     "submajorizes",
@@ -34,24 +31,6 @@ __all__ = [
 _REL_TOL = 1e-12
 
 
-@dataclass(frozen=True, eq=False)
-class OrderedSpectrum:
-    """A vector stored in decreasing order with its partial sums."""
-
-    values: np.ndarray
-    partial_sums: np.ndarray
-
-    @classmethod
-    def of(cls, x) -> "OrderedSpectrum":
-        vals = decreasing_rearrangement(x)
-        out = cls(values=vals, partial_sums=np.cumsum(vals))
-        return out
-
-    @property
-    def total(self) -> float:
-        return float(self.partial_sums[-1]) if self.partial_sums.size else 0.0
-
-
 def decreasing_rearrangement(x) -> np.ndarray:
     """Entries of x sorted in decreasing order."""
     x = np.asarray(x, dtype=float)
@@ -60,33 +39,25 @@ def decreasing_rearrangement(x) -> np.ndarray:
     return np.sort(x)[::-1].copy()
 
 
-def _tolerance(sx: float, sy: float) -> float:
-    return _REL_TOL * max(abs(sx), abs(sy), 1.0)
+def _partial_sums(x, y):
+    """Partial sums of both decreasing rearrangements and the tolerance of their comparison."""
+    px = np.cumsum(decreasing_rearrangement(x))
+    py = np.cumsum(decreasing_rearrangement(y))
+    if px.shape != py.shape:
+        raise ShapeError("majorization compares vectors of equal length")
+    tol = _REL_TOL * max(abs(px[-1]), abs(py[-1]), 1.0) if px.size else 0.0
+    return px, py, tol
 
 
 def majorizes(x, y) -> bool:
     """True when y is majorized by x (partial-sum domination, equal totals)."""
-    px = OrderedSpectrum.of(x).partial_sums
-    py = OrderedSpectrum.of(y).partial_sums
-    if px.shape != py.shape:
-        raise ShapeError("majorization compares vectors of equal length")
-    if px.size == 0:
-        return True
-    tol = _tolerance(px[-1], py[-1])
-    if abs(px[-1] - py[-1]) > tol:
-        return False
-    return bool(np.all(py <= px + tol))
+    px, py, tol = _partial_sums(x, y)
+    return bool(np.all(py <= px + tol) and (px.size == 0 or abs(px[-1] - py[-1]) <= tol))
 
 
 def submajorizes(x, y) -> bool:
     """True when y is weakly majorized by x (partial-sum domination only)."""
-    px = OrderedSpectrum.of(x).partial_sums
-    py = OrderedSpectrum.of(y).partial_sums
-    if px.shape != py.shape:
-        raise ShapeError("majorization compares vectors of equal length")
-    if px.size == 0:
-        return True
-    tol = _tolerance(px[-1], py[-1])
+    px, py, tol = _partial_sums(x, y)
     return bool(np.all(py <= px + tol))
 
 

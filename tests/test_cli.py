@@ -560,6 +560,55 @@ def test_bad_conclab_arguments_exit_two_before_sampling(
     assert not out.exists() or not any(out.iterdir())
 
 
+# (command, config text, message) for faults in a config's structure, each a
+# usage error that names its place and writes nothing.
+_CONFIG_FAULTS = {
+    "ingest-without-section": ("ingest", BASE, "ingest requires an [ingest] section with classes"),
+    "sigma-file-two-paths": ("predict", BASE.replace("sigma = identity", "sigma = file a b"),
+                             "exp.ini [class.a]: sigma file form is 'file PATH'"),
+    "toeplitz-power-0": ("predict",
+                         BASE.replace("sigma = identity", "sigma = toeplitz a=0.3 power=0"),
+                         "exp.ini [class.a]: bad sigma 'toeplitz a=0.3 power=0' "
+                         "(toeplitz power must be >= 1)"),
+    "recipe-without-p": ("predict", BASE.replace("    p = 4\n", ""),
+                         "exp.ini [class.a]: identity sigma needs p in [mixture]"),
+    "file-sigma-off-p": ("predict", BASE.replace("sigma = identity", "sigma = file sigma.csv"),
+                         "exp.ini [class.a]: sigma has shape (2, 2), expected (4, 4)"),
+    "simulate-bins-0": ("simulate", BASE.replace("    seed = 3\n", "    seed = 3\n    bins = 0\n"),
+                        "exp.ini [simulate]: bad value for bins: '0' "
+                        "(bin count must be positive)"),
+    "mixture-without-classes": ("predict", BASE.replace("    classes = a\n", ""),
+                                "exp.ini: [mixture] needs a 'classes' list"),
+}
+
+
+@pytest.mark.parametrize("case", _CONFIG_FAULTS)
+def test_config_structure_faults_exit_two_and_write_nothing(tmp_path, capsys, case):
+    command, text, message = _CONFIG_FAULTS[case]
+    (tmp_path / "sigma.csv").write_text("1,0\n0,1\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path, text), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("command", ["predict", "simulate", "compare", "conclab", "ingest"])
+def test_verbose_logs_progress_to_stderr_and_changes_no_output(tmp_path, capsys, command):
+    write_matrix(str(tmp_path / "cols.csv"), np.random.default_rng(0).standard_normal((3, 50)))
+    ingest = "[ingest]\nclasses = x\n\n[ingest.class.x]\nfile = cols.csv\nn_l = 50\n"
+    cfg_path = write_config(tmp_path, BASE, CONCLAB, ingest)
+    runs = []
+    for flags in ([], ["--verbose"]):
+        out = tmp_path / f"out{len(flags)}"
+        code = main([command, "--config", cfg_path, "--out", str(out), *flags])
+        written = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        runs.append((code, written, capsys.readouterr().err))
+    (code, written, quiet), (verbose_code, verbose_written, verbose) = runs
+    assert written and (verbose_code, verbose_written) == (code, written)
+    assert quiet == "" and verbose.startswith(f"{command}: ")
+
+
 def test_compare_rejects_bin_edges_that_miss_the_spectrum(tmp_path, capsys):
     # Edges must cover every pooled eigenvalue, as simulate requires.
     cfg_path = write_config(tmp_path, BASE.replace("bins = 5", "bins = 0 0.5 1"))

@@ -1,6 +1,7 @@
 """Monte Carlo concentration checks against closed-form targets."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -291,6 +292,15 @@ def test_delta_empirical_zero_covariance_class():
     est = delta_empirical(pairs, z=1.0, trials=10, seed=0)
     np.testing.assert_array_equal(est.draws[:, 0], np.zeros(10))
     assert est.delta_hat[0] == 0.0
+
+
+def test_delta_empirical_one_trial_has_a_nan_stderr():
+    # One draw has no spread to estimate: NaN, without numpy's ddof warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = delta_empirical([(gaussian_class_spec(np.eye(3)), 6)], z=1.0, trials=1, seed=0)
+    assert est.draws.shape == (1, 1) and np.isfinite(est.delta_hat).all()
+    assert np.isnan(est.stderr).all() and est.stderr.shape == (1,)
 
 
 def test_delta_empirical_single_draw_std_shrinks_with_n():

@@ -124,7 +124,7 @@ def _rotated_diagonal_mixture(rng, k, p=16):
 
 def _dense_density(mix, backend, lam, epsilon, tol, max_iter):
     w = complex(lam, epsilon)
-    delta = _solve(backend, mix, -w, tol, max_iter)[0]
+    delta = _solve(backend, mix, -w, tol, max_iter).delta
     m = backend.traces(mix.weights / (1.0 + delta), -w)[2]
     return max(float(m.imag) / np.pi, 0.0)
 
@@ -138,10 +138,10 @@ def test_spectral_and_dense_backends_agree(rng, k):
     dense = _DenseTraces(mix)
     for z in (0.02, 0.3, 1.0, 5.0):
         sol = solve_delta(mix, z)
-        delta, _, _, converged, _, _ = _solve(dense, mix, z, 1e-12, 10_000)
-        assert sol.converged and converged
-        np.testing.assert_allclose(delta, sol.delta, rtol=1e-9, atol=0)
-        m_dense = dense.traces(mix.weights / (1.0 + delta), z)[2]
+        dense_sol = _solve(dense, mix, z, 1e-12, 10_000)
+        assert sol.converged and dense_sol.converged
+        np.testing.assert_allclose(dense_sol.delta, sol.delta, rtol=1e-9, atol=0)
+        m_dense = dense.traces(mix.weights / (1.0 + dense_sol.delta), z)[2]
         np.testing.assert_allclose(
             m_dense, stieltjes_from_delta(mix, sol.delta, z), rtol=1e-9, atol=0
         )
@@ -257,6 +257,8 @@ def test_density_grid_validation():
         density_prediction(mix, np.array([2.0, 1.0]), epsilon=1e-3)
     with pytest.raises(ParameterError):
         density_prediction(mix, np.array([1.0]), epsilon=0.0)
+    with pytest.raises(ShapeError, match="1-d"):
+        density_prediction(mix, np.array([[1.0, 2.0], [3.0, 4.0]]), epsilon=1e-3)
 
 
 def test_density_single_point_grid():

@@ -11,7 +11,9 @@ import pytest
 from conftest import identity_mixture, mp_positive_root
 from covspec import (
     ClassModel,
+    FixedPointSolution,
     ParameterError,
+    ShapeError,
     build_mixture,
     interference_map,
     solve_delta,
@@ -236,6 +238,11 @@ def test_interference_map_rejects_negative_delta():
         interference_map(np.array([-0.1]), mix, 1.0)
 
 
+def test_interference_map_rejects_a_delta_of_the_wrong_length():
+    with pytest.raises(ShapeError, match=r"delta has shape \(2,\), expected \(1,\)"):
+        interference_map(np.array([0.1, 0.2]), identity_mixture(4, 4), 1.0)
+
+
 def test_complex_solution_satisfies_quadratic():
     # k=1 identity covariance: w d^2 - (1 - w - gamma) d + gamma = 0.
     gamma = 0.5
@@ -284,6 +291,41 @@ def test_complex_solver_requires_damping_on_hard_points():
     assert np.all(sol.delta.imag >= -1e-10)
 
 
+def _backtracking_mixture():
+    # diag(1, 2, 3) and diag(3, 1, 0.5) with counts 4:2; w = 1 + 0.05i needs damped steps.
+    return build_mixture([ClassModel(np.diag([1.0, 2.0, 3.0]), np.zeros(3), 4),
+                          ClassModel(np.diag([3.0, 1.0, 0.5]), np.zeros(3), 2)], 6)
+
+
+def test_both_shifts_return_one_solution_type_with_its_damping():
+    # damping is the smallest step fraction: 1.0 when every step was a full Newton step.
+    mix = _backtracking_mixture()
+    real, full, damped = (solve_delta(mix, 1.0), solve_delta_complex(mix, 5.0 + 1.0j),
+                          solve_delta_complex(mix, 1.0 + 0.05j))
+    for sol in (real, full, damped):
+        assert type(sol) is FixedPointSolution and sol.converged and sol.iterations >= 2
+    assert real.damping == full.damping == 1.0
+    assert damped.damping == 0.03125
+    assert type(real.stieltjes) is float and type(damped.stieltjes) is complex
+
+
+def test_a_singular_jacobian_falls_back_to_picard_steps(monkeypatch):
+    # A Newton system that cannot be solved sends the loop to damped Picard steps,
+    # which still reach the same fixed point at both shifts.
+    mix = _backtracking_mixture()
+    solves = (lambda: solve_delta(mix, 1.0), lambda: solve_delta_complex(mix, 1.0 + 0.05j))
+    want = [solve() for solve in solves]
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    for solve, ref in zip(solves, want):
+        sol = solve()
+        assert sol.converged and sol.iterations > ref.iterations
+        np.testing.assert_allclose(sol.delta, ref.delta, rtol=1e-9, atol=0)
+
+
 def _two_identity_classes(p=10):
     return build_mixture([ClassModel(np.eye(p), np.zeros(p), p) for _ in range(2)], 2 * p)
 
@@ -325,10 +367,10 @@ def test_cold_start_is_the_large_shift_limit_and_admissible_at_a_complex_shift()
     mix = _two_identity_classes()
     for lam in (-2.0, 0.0, 1.0, 3.0):
         w = complex(lam, 0.01)
-        x0 = _solve(_trace_backend(mix), mix, -w, 1e-10, 0)[0]
+        x0 = _solve(_trace_backend(mix), mix, -w, 1e-10, 0).delta
         np.testing.assert_allclose(x0, 10 / (20 * -w) * np.ones(2), rtol=1e-15)
         assert np.all(x0.imag > 0)
-    x0 = _solve(_trace_backend(mix), mix, 2.0, 1e-12, 0)[0]
+    x0 = _solve(_trace_backend(mix), mix, 2.0, 1e-12, 0).delta
     np.testing.assert_array_equal(x0, [0.25, 0.25])
 
 

@@ -31,6 +31,19 @@ def test_atomic_write_creates_and_overwrites(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_atomic_write_failure_propagates_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    target = tmp_path / "out.txt"
+    target.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        atomic_write_text(str(target), "new\n")
+    assert os.listdir(tmp_path) == ["out.txt"] and target.read_text() == "old\n"
+
+
 def test_write_csv_layout(tmp_path):
     target = tmp_path / "table.csv"
     write_csv(

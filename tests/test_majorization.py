@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from covspec import (
-    OrderedSpectrum,
     ShapeError,
     check_sigma_lipschitz,
     check_singular_triangle,
@@ -76,13 +75,6 @@ def test_majorization_is_reflexive_and_transitive(rng):
         assert majorizes(x, y)
         assert majorizes(y, z)
         assert majorizes(x, z)
-
-
-def test_ordered_spectrum_wrapper(rng):
-    x = rng.standard_normal(10)
-    spec = OrderedSpectrum.of(x)
-    np.testing.assert_array_equal(spec.values, decreasing_rearrangement(x))
-    assert spec.total == pytest.approx(x.sum())
 
 
 def test_singular_values_descending(rng):

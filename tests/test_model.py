@@ -98,6 +98,11 @@ def test_class_model_rejects_nonsquare_and_bad_mean():
         ClassModel(sigma=np.eye(3), mean=np.zeros(2), n_l=1)
 
 
+def test_class_model_rejects_an_empty_class():
+    with pytest.raises(ParameterError, match="n_l must be a positive integer, got 0"):
+        ClassModel(sigma=np.eye(3), mean=np.zeros(3), n_l=0)
+
+
 def test_class_model_rejects_zero_dimension():
     with pytest.raises(ShapeError, match="p >= 1"):
         ClassModel(np.eye(0), np.zeros(0), 3)

@@ -174,6 +174,11 @@ def test_generator_spec_rejects_zero_dimension():
         GeneratorSpec(kind="gaussian", mean=np.zeros(0), factor=np.zeros((0, 0)))
 
 
+def test_generator_spec_rejects_a_non_finite_mean():
+    with pytest.raises(DataError, match="generator spec entries must be finite"):
+        GeneratorSpec(kind="gaussian", mean=np.array([0.0, np.nan]), factor=np.eye(2))
+
+
 def test_generator_spec_keeps_a_handed_over_factor_and_copies_a_writeable_one(monkeypatch):
     # The class's factor is built read-only and handed over, so the spec holds
     # no second p x p copy of it; a caller's writeable factor is still copied.
@@ -440,6 +445,14 @@ def test_sample_mixture_rejects_dimension_mismatch():
         )
 
 
+def test_sample_mixture_rejects_no_classes_and_an_empty_class():
+    with pytest.raises(ShapeError, match="at least one"):
+        sample_mixture([], seed=0)
+    with pytest.raises(ParameterError, match="class counts must be positive, got 0"):
+        sample_mixture([(gaussian_class_spec(np.eye(2)), 3), (gaussian_class_spec(np.eye(2)), 0)],
+                       seed=0)
+
+
 @pytest.mark.parametrize("trials", [0, -2])
 def test_trial_samples_checks_trials_at_the_call(monkeypatch, trials):
     # Raised by the call itself, not on the first step of the iteration.
@@ -569,6 +582,8 @@ def test_histogram_validation():
         histogram(np.array([1.0]), 0)
     with pytest.raises(ParameterError):
         histogram(np.array([1.0]), 3, transform=-1.0)
+    with pytest.raises(ShapeError, match="nonempty"):
+        histogram(np.array([]), 3)
 
 
 @pytest.mark.parametrize("bins, transform", [(np.array([0.0, np.nan, 10.0]), None), (3, np.nan)])
@@ -582,6 +597,12 @@ def test_ks_distance_basic_cases():
     assert spectral_ks_distance(np.zeros(4), np.ones(4)) == 1.0
     # {1} vs {1,2}: CDFs agree at 2 but split at 1.
     assert spectral_ks_distance(np.array([1.0]), np.array([1.0, 2.0])) == 0.5
+
+
+@pytest.mark.parametrize("a, b", [([], [1.0]), ([1.0], [])], ids=["left", "right"])
+def test_ks_distance_rejects_an_empty_spectrum(a, b):
+    with pytest.raises(ShapeError, match="both spectra must be nonempty"):
+        spectral_ks_distance(np.array(a), np.array(b))
 
 
 def test_ks_distance_universality_small_case():
