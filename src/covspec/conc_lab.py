@@ -24,6 +24,7 @@ from .errors import DataError, ParameterError, ShapeError
 from .fixed_point import _check_z, solve_delta
 from .model import Mixture, _check_symmetric, _gram
 from .sampler import (
+    _CHUNK,
     GeneratorSpec,
     _trial_samples,
     class_model_of,
@@ -60,6 +61,16 @@ LIPSCHITZ_FUNCTIONALS = {
     "first-coordinate": lambda X: X[0],
     "coordinate-mean": lambda X: np.mean(X, axis=0),
 }
+
+_BLOCK = 2**20  # entries of one streamed block, in whole 64-column chunks
+
+
+def _blocks(spec: GeneratorSpec, count: int, seed: int, offset: int = 0):
+    """Columns offset .. offset + count - 1 of a draw, as consecutive sample_class blocks whose
+    edges fall on multiples of the block width; sample_class judges count at the first step."""
+    width = max(1, _BLOCK // (spec.p * _CHUNK)) * _CHUNK
+    edges = [offset, *range((offset // width + 1) * width, offset + count, width), offset + count]
+    return (sample_class(spec, b - a, seed, column_offset=a) for a, b in zip(edges, edges[1:]))
 
 
 @dataclass(frozen=True)
@@ -230,7 +241,8 @@ def observable_diameter(
     """Monte Carlo observable diameter: max over functionals of E|f(X) - f(X')|.
 
     X and X' are independent draws from the spec; ``functionals`` is a list
-    of names from :data:`LIPSCHITZ_FUNCTIONALS`.
+    of names from :data:`LIPSCHITZ_FUNCTIONALS`. Each draw is streamed in
+    blocks and reduced to its functional values before the next is drawn.
     """
     names = list(functionals)
     if not names:
@@ -240,19 +252,17 @@ def observable_diameter(
             raise ParameterError(f"unknown functional {name!r}")
     if trials < 100:
         raise ParameterError(f"need at least 100 trials, got {trials}")
-    first = sample_class(spec, trials, seed, column_offset=0)
-    second = sample_class(spec, trials, seed, column_offset=trials)
+
+    def values(offset):  # copied out of each block, so that no view keeps a block alive
+        per_block = ([np.array(LIPSCHITZ_FUNCTIONALS[name](b)) for name in names]
+                     for b in _blocks(spec, trials, seed, offset))
+        return [np.concatenate(v) for v in zip(*per_block)]
+
     per = {}
-    best = None
-    for name in names:
-        f = LIPSCHITZ_FUNCTIONALS[name]
-        gaps = np.abs(f(first) - f(second))
-        mean = float(gaps.mean())
-        se = float(gaps.std(ddof=1) / np.sqrt(trials))
-        per[name] = (mean, se)
-        if best is None or mean > per[best][0]:
-            best = name
-    value, stderr = per[best]
+    for name, f_first, f_second in zip(names, values(0), values(trials)):
+        gaps = np.abs(f_first - f_second)
+        per[name] = (float(gaps.mean()), float(gaps.std(ddof=1) / np.sqrt(trials)))
+    value, stderr = max(per.values(), key=lambda mean_se: mean_se[0])
     return DiameterEstimate(
         value=value, stderr=stderr, per_functional=per
     )
@@ -402,10 +412,12 @@ def resolvent_error_sweep(
 
 
 def _isotropic(p) -> GeneratorSpec:
-    """The N(0, I_p) generator that every named check samples."""
+    """The N(0, I_p) generator that every named check samples; it keeps its read-only identity."""
     if p < 1:
         raise ParameterError(f"p must be a positive integer, got {p}")
-    return GeneratorSpec("gaussian", np.zeros(p), np.eye(p))
+    eye = np.eye(p)
+    eye.flags.writeable = False
+    return GeneratorSpec("gaussian", np.zeros(p), eye)
 
 
 def _size_sweep(sizes, gamma, seed, error) -> ScalingReport:
@@ -433,11 +445,8 @@ def _rate_records(report, size_name, slope_name, trials, seed, slope_max):
 
 
 def _check_tail_fit(seed, *, p=256, samples=100_000, q_lo=1.6, q_hi=2.4):
-    # Blocks of whole 64-column sampler chunks keep one draw's norms; samples < 1 fails there.
-    spec, block = _isotropic(p), 4096
-    norms = np.concatenate([np.linalg.norm(sample_class(
-        spec, min(block, samples - start), seed, column_offset=start), axis=0)
-        for start in range(0, max(samples, 1), block)])
+    norms = np.concatenate([np.linalg.norm(block, axis=0)
+                            for block in _blocks(_isotropic(p), samples, seed)])
     dev = np.abs(norms - np.median(norms))
     grid = tail_thresholds(dev)
     profile = tail_profile(norms, grid)
@@ -452,12 +461,12 @@ def _check_tail_fit(seed, *, p=256, samples=100_000, q_lo=1.6, q_hi=2.4):
 def _check_diameter(seed, *, p_list=(64, 256, 1024), trials=2000, ratio_max=2.0):
     if not p_list:
         raise ParameterError("p_list must name at least one dimension, got none")
-    specs = [_isotropic(p) for p in p_list]
+    _isotropic(min(p_list))  # every p is judged before anything is sampled
     values = []
     records = []
-    for p, spec in zip(p_list, specs):
+    for p in p_list:
         est = observable_diameter(
-            spec, ["euclidean-norm"], trials, derive_seed(seed, p)
+            _isotropic(p), ["euclidean-norm"], trials, derive_seed(seed, p)
         )
         values.append(est.value)
         records.append((f"diameter_p{p}", est.value, est.stderr, trials, seed, True))

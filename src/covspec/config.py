@@ -31,8 +31,8 @@ from .conc_lab import CHECKS
 from .errors import DataError, ParameterError, ShapeError
 from .io import read_matrix
 from .model import ClassModel, Mixture, _check_class, _check_counts, _flush, build_mixture
-from .model import toeplitz_covariance
-from .sampler import _check_law, _class_spec, _diagonal
+from .model import _diagonal, toeplitz_covariance
+from .sampler import _check_law, _class_spec
 
 __all__ = ["ClassConfig", "ExperimentConfig", "load_config", "parse_grid"]
 

@@ -111,11 +111,18 @@ def _gram(X: np.ndarray, n: int, shift: float = 0.0) -> np.ndarray:
     return gram
 
 
+def _diagonal(a: np.ndarray) -> np.ndarray | None:
+    """The one diagonal test: ``a``'s diagonal when it is square and zero elsewhere, else None."""
+    d = a.diagonal()
+    return d if a.shape[0] == a.shape[1] and np.count_nonzero(a) == np.count_nonzero(d) else None
+
+
 def _combine(sigmas, coeff, shift=0.0) -> np.ndarray:
-    """sum_h coeff_h sigmas[h] + shift I, accumulated in class order."""
+    """sum_h coeff_h sigmas[h] + shift I, accumulated in class order through one scratch term."""
     out = np.zeros(sigmas[0].shape, dtype=np.result_type(np.asarray(coeff), shift))
+    term = np.empty_like(out)
     for c, sigma in zip(coeff, sigmas):
-        out += c * sigma
+        out += np.multiply(c, sigma, out=term)
     out[np.diag_indices_from(out)] += shift
     return out
 
@@ -230,6 +237,7 @@ def _joint_eigenbasis(sigmas) -> tuple[np.ndarray, np.ndarray] | None:
     when every r_b = Sigma_l v_b - d_b v_b, d_b = v_b^T Sigma_l v_b, has ||r_b / s_l||_2 <= _RTOL
     (scaled first, so no square underflows). An off-diagonal entry of V^T Sigma_l V is
     v_a^T r_b, of size at most ||r_b||_2: never looser than bounding those entries by _RTOL s_l.
+    A diagonal Sigma_l takes a row scale of V, one nonzero term per entry: the same record and V.
 
     The combination (of order 1) gets 2^-400 x x^T, ~2^340 below eigh's backward error, so that
     LAPACK's reduction of a recipe tail at the 2^-511 flush floor runs in normal arithmetic.
@@ -249,7 +257,8 @@ def _joint_eigenbasis(sigmas) -> tuple[np.ndarray, np.ndarray] | None:
     _, v = np.linalg.eigh(_combine(sigmas, weights) + np.outer(x, 2.0**-400 * x))
     eigs = np.empty((k, p))
     for j, s in enumerate(sigmas):
-        sv = s @ v
+        d = _diagonal(s)
+        sv = s @ v if d is None else d[:, None] * v
         eigs[j] = np.einsum("ib,ib->b", v, sv)
         if np.linalg.norm((sv - v * eigs[j]) / scales[j], axis=0).max() > _RTOL:
             return None

@@ -18,6 +18,10 @@ Three generator kinds are supported, each with the laws ``_LAWS`` admits:
 - ``bounded-affine``: y = mean + factor u with u i.i.d. signs (+-1, the
   default) or uniform on [-1, 1] and rescaled by sqrt(3), so the latent
   second moment is the identity in both cases.
+
+A draw is its latent block transformed in place: ``sample_class`` returns that
+block (an F-ordered view for a diagonal factor), and ``sample_mixture`` writes
+each class into its columns of one C-ordered (p, n) matrix.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DataError, ParameterError, ShapeError
-from .model import _RTOL, ClassModel, Mixture, _data_matrix, _freeze, _gram, build_mixture
+from .model import _RTOL, ClassModel, Mixture, _data_matrix, _diagonal, _freeze, _gram
+from .model import build_mixture
 
 __all__ = [
     "GeneratorSpec",
@@ -54,7 +59,7 @@ _LAWS = {
     "bounded-affine": (("rademacher", "uniform"), ("identity",)),
 }
 NONLINEARITIES = {"identity": None, "tanh": np.tanh, "abs": np.abs,
-                  "relu": lambda core: np.maximum(core, 0.0)}
+                  "relu": lambda core, out=None: np.maximum(core, 0.0, out=out)}
 LATENTS = ("standard-normal", "rademacher", "uniform")
 
 _CHUNK = 64
@@ -85,12 +90,6 @@ def _check_law(kind: str, nonlinearity: str, latent: str | None) -> str:
             f"nonlinearity of {kind} must be one of {list(nonlinearities)}, got {nonlinearity!r}"
         )
     return latent
-
-
-def _diagonal(a: np.ndarray) -> np.ndarray | None:
-    """The one diagonal test: ``a``'s diagonal when it is square and zero elsewhere, else None."""
-    d = a.diagonal()
-    return d if a.shape[0] == a.shape[1] and np.count_nonzero(a) == np.count_nonzero(d) else None
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +204,9 @@ def class_model_of(spec: GeneratorSpec, n_l: int) -> ClassModel:
             "second moment is not analytic for a nonlinear pushforward; "
             "estimate it from samples instead"
         )
-    second = np.outer(spec.mean, spec.mean) + spec.factor @ spec.factor.T
+    d = spec.diagonal  # one nonzero term per entry: np.diag(d * d) holds the product's bits
+    cov = spec.factor @ spec.factor.T if d is None else np.diag(d * d)
+    second = np.outer(spec.mean, spec.mean) + cov
     second = (second + second.T) / 2.0
     return ClassModel(sigma=second, mean=spec.mean.copy(), n_l=n_l)
 
@@ -238,6 +239,33 @@ def _latent_block(spec: GeneratorSpec, count: int, seed: int, offset: int) -> np
 _SQRT3 = np.sqrt(3.0)
 
 
+def _draw(spec: GeneratorSpec, count: int, seed: int, offset: int, out=None) -> np.ndarray:
+    """sample_class's columns: the latent block transformed in place, or written into ``out``
+    (a (p, count) view). A scale by ones is skipped; a zero mean is not, as 0.0 + -0.0 = 0.0."""
+    if count < 1:
+        raise ParameterError(f"count must be at least 1, got {count}")
+    if not 0 <= int(seed) < 2**64:
+        raise ParameterError("seed must fit in 64 bits")
+    if offset < 0 or (offset + count - 1) // _CHUNK >= 2**64:
+        raise ParameterError("column_offset must be nonnegative with its last chunk below "
+                             f"2**64, got {offset}")
+    latent = _latent_block(spec, count, int(seed), offset)
+    if spec.latent == "uniform":
+        latent *= _SQRT3
+    d = spec.diagonal
+    if d is None:
+        core = np.matmul(spec.factor, latent, out=out)
+    elif out is None and (d == 1.0).all():
+        core = latent
+    else:
+        core = np.multiply(d[:, None], latent, out=latent if out is None else out)
+    nonlinearity = NONLINEARITIES[spec.nonlinearity]
+    if nonlinearity is not None:
+        nonlinearity(core, out=core)
+    core += spec.mean[:, None]
+    return core
+
+
 def sample_class(
     spec: GeneratorSpec, count: int, seed: int, column_offset: int = 0
 ) -> np.ndarray:
@@ -245,38 +273,19 @@ def sample_class(
 
     ``column_offset`` is the global index of the first column; a mixture
     run passes each class its global column positions so the full matrix is
-    reproducible independent of class interleaving. A diagonal factor
-    scales the latent rows instead of multiplying a dense matrix; each entry
-    has one nonzero term, so the result is the same to the bit.
+    reproducible independent of class interleaving. The draw is its latent
+    block transformed in place: an F-ordered view of that block when a
+    diagonal factor scales its rows (the same bits as the dense product).
     """
-    if count < 1:
-        raise ParameterError(f"count must be at least 1, got {count}")
-    if not 0 <= int(seed) < 2**64:
-        raise ParameterError("seed must fit in 64 bits")
-    offset = int(column_offset)
-    if offset < 0 or (offset + count - 1) // _CHUNK >= 2**64:
-        raise ParameterError(
-            "column_offset must be nonnegative with its last chunk below 2**64, "
-            f"got {column_offset}"
-        )
-    latent = _latent_block(spec, count, int(seed), offset)
-    if spec.latent == "uniform":
-        latent *= _SQRT3
-    if spec.diagonal is None:
-        core = spec.factor @ latent
-    else:
-        core = spec.diagonal[:, None] * latent
-    nonlinearity = NONLINEARITIES[spec.nonlinearity]
-    if nonlinearity is not None:
-        core = nonlinearity(core)
-    return spec.mean[:, None] + core
+    return _draw(spec, count, seed, int(column_offset))
 
 
 def sample_mixture(pairs, seed: int) -> MixtureSample:
     """Draw a full (p, n) data matrix, columns grouped by class in order.
 
     ``pairs`` is a sequence of (GeneratorSpec, count). Labels record the
-    class index of every column.
+    class index of every column. The matrix is C-ordered and allocated
+    once: each class writes its columns straight into its own slice.
     """
     pairs = [(spec, int(count)) for spec, count in pairs]
     if not pairs:
@@ -292,9 +301,7 @@ def sample_mixture(pairs, seed: int) -> MixtureSample:
     labels = np.empty(n, dtype=int)
     offset = 0
     for idx, (spec, count) in enumerate(pairs):
-        matrix[:, offset : offset + count] = sample_class(
-            spec, count, seed, column_offset=offset
-        )
+        _draw(spec, count, seed, offset, out=matrix[:, offset : offset + count])
         labels[offset : offset + count] = idx
         offset += count
     return MixtureSample(matrix=matrix, labels=labels, seed=int(seed))

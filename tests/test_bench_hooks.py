@@ -103,3 +103,25 @@ def test_predict_solves_every_point_through_the_traced_names(bench, tmp_path):
     assert names.count("fixed_point.complex") == 7
     assert sum(s.counts["iters"] for s in t.spans if s.name == "fixed_point.real") > 0
     assert sum(s.counts["iters"] for s in t.spans if s.name == "fixed_point.complex") > 0
+
+
+def test_streamed_conclab_counts_every_column_it_draws_once(bench, tmp_path):
+    # diameter at p = 2048 draws in 512-column blocks and tail_fit in 4096-column
+    # ones; the sampler.sample spans that sampler.columns sums must still add
+    # up to the columns drawn: 2 draws of 1000 per dimension, and 5000.
+    tracer, _, _ = bench
+    config = tmp_path / "conclab.ini"
+    config.write_text("[mixture]\np = 4\nn = 8\nclasses = a\n\n[class.a]\nn_l = 8\n"
+                      "sigma = identity\n\n[conclab]\nchecks = diameter tail_fit\n\n"
+                      "[conclab.diameter]\np_list = 64 2048\ntrials = 1000\n\n"
+                      "[conclab.tail_fit]\nsamples = 5000\n")
+    t = tracer.Tracer()
+    try:
+        t.install()
+        code = covspec.cli.main(["conclab", "--config", str(config), "--out", str(tmp_path / "o")])
+    finally:
+        t.uninstall()
+    assert code in (0, 1)  # a Monte Carlo gate may miss; the count is what is checked
+    columns = [s.counts["columns"] for s in t.spans if s.name == "sampler.sample"]
+    assert len(columns) == 9  # blocks: 1 + 1 at p = 64, 2 + 3 at p = 2048, 2 for tail_fit
+    assert sum(columns) == 2 * 1000 * 2 + 5000

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import no_sampling
+import covspec.conc_lab
 import covspec.sampler
 from covspec import (
     ClassModel,
@@ -513,3 +514,56 @@ def test_tail_fit_memory_stays_below_one_full_draw():
 def test_tail_fit_rejects_nonpositive_samples(samples):
     with pytest.raises(ParameterError, match="count must be at least 1"):
         _check_tail_fit(1, p=4, samples=samples)
+
+
+def _one_block_diameter(spec, names, trials, seed):
+    """Reference: each functional's mean gap and stderr from two whole draws."""
+    first = sample_class(spec, trials, seed, column_offset=0)
+    second = sample_class(spec, trials, seed, column_offset=trials)
+    per = {}
+    for name in names:
+        gaps = np.abs(LIPSCHITZ_FUNCTIONALS[name](first) - LIPSCHITZ_FUNCTIONALS[name](second))
+        per[name] = (float(gaps.mean()), float(gaps.std(ddof=1) / np.sqrt(trials)))
+    return per
+
+
+def test_blocked_diameter_equals_the_one_block_computation_bit_for_bit(monkeypatch):
+    # At p = 2048 a block holds 512 columns, so both draws split, and the
+    # second, from column 1000, starts and ends inside a block.
+    spec, names, trials = _isotropic(2048), sorted(LIPSCHITZ_FUNCTIONALS), 1000
+    widths = []
+    real = covspec.conc_lab.sample_class
+    monkeypatch.setattr(covspec.conc_lab, "sample_class",
+                        lambda *a, **k: widths.append(a[1]) or real(*a, **k))
+    est = observable_diameter(spec, names, trials=trials, seed=3)
+    assert widths == [512, 488, 24, 512, 464]
+    assert est.per_functional == _one_block_diameter(spec, names, trials, 3)
+
+
+def test_diameter_memory_does_not_grow_with_trials():
+    # Each draw is reduced to its functional values block by block, and the
+    # first before the second is drawn: the peak is set by one block.
+    spec = _isotropic(1024)
+    peaks = []
+    observable_diameter(spec, ["euclidean-norm"], 100, seed=1)  # first-draw set-up, untraced
+    for trials in (2000, 8000):
+        tracemalloc.start()
+        try:
+            observable_diameter(spec, ["euclidean-norm"], trials, seed=1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+
+
+def test_tail_fit_memory_does_not_grow_with_samples():
+    peaks = []
+    _check_tail_fit(1, samples=1000)  # first-draw set-up, untraced
+    for samples in (20_000, 100_000):
+        tracemalloc.start()
+        try:
+            _check_tail_fit(1, samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]

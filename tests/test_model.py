@@ -19,7 +19,7 @@ from covspec.cli import cmd_compare, cmd_predict, cmd_simulate
 from covspec.config import load_config
 from covspec.equivalent import atom_at_zero
 from covspec.fixed_point import _DenseTraces, _SpectralTraces
-from covspec.model import _joint_eigenbasis
+from covspec.model import _combine, _joint_eigenbasis
 from covspec.sampler import _class_spec
 
 
@@ -369,6 +369,36 @@ def test_certificate_rejects_a_pair_the_probe_cannot_see(counted):
     assert _full_commutator_rejects(sigmas)
     assert _joint_eigenbasis(sigmas) is None
     assert counted["eigh"].calls == 1
+
+
+_ZERO_DIAGONALS = [np.diag(np.r_[0.0, 0.0, np.arange(1.0, 9.0)]), np.diag(np.arange(10.0, 0, -1))]
+
+
+@pytest.mark.parametrize("family", ["identity and toeplitz a=0.5", "three classes", "1e-08 I",
+                                    "1e+08 I and 2 I", "zero diagonal entries"])
+def test_diagonal_class_row_scale_keeps_the_bits_of_the_dense_product(monkeypatch, family):
+    # Sigma_l V has one nonzero term per entry when Sigma_l is diagonal: the
+    # record and V are the bits that the dense product gives them.
+    import covspec.model
+
+    sigmas = _PROBE_FAMILIES.get(family, _ZERO_DIAGONALS)
+    got = _joint_eigenbasis(sigmas)
+    monkeypatch.setattr(covspec.model, "_diagonal", lambda a: None)
+    want = _joint_eigenbasis(sigmas)
+    assert got is not None and want is not None
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+@pytest.mark.parametrize("coeff, shift", [
+    ([0.3, 1.7, 0.25], 0.0), ([0.3, 1.7, 0.25], -1.3 - 0.2j),
+    (np.array([0.3 - 0.1j, 1.7 + 2j, 0.25j]), 0.7), (np.array([0.5, 2.0, 1e-3]), 2.5)])
+def test_combine_through_one_scratch_term_keeps_the_bits_of_fresh_products(coeff, shift):
+    sigmas = [toeplitz_covariance(a, 40) for a in (0.1, 0.5, 0.9)]
+    want = np.zeros((40, 40), dtype=np.result_type(np.asarray(coeff), shift))
+    for c, sigma in zip(coeff, sigmas):
+        want += c * sigma
+    want[np.diag_indices(40)] += shift
+    assert _combine(sigmas, coeff, shift).tobytes() == want.tobytes()
 
 
 def _predict_config(tmp_path, text, name):

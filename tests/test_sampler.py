@@ -1,5 +1,7 @@
 """Seeded generators, empirical spectra, and histogram plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -423,6 +425,111 @@ def test_non_diagonal_factor_takes_the_dense_product(factor):
     assert spec.diagonal is None
     got = sample_class(spec, 70, 8, column_offset=60)
     np.testing.assert_array_equal(got, factor @ _latent_block(spec, 70, 8, 60))
+
+
+def _explicit_draw(spec, count, seed, offset):
+    """mean + f(factor @ g) from the latent block, each step a fresh array."""
+    g = _latent_block(spec, count, seed, offset)
+    if spec.latent == "uniform":
+        g = np.sqrt(3.0) * g
+    return spec.mean[:, None] + _PUSHFORWARD[spec.nonlinearity](spec.factor @ g)
+
+
+_FACTORS = {
+    "unit diagonal": np.eye(5),
+    "diagonal": np.diag([0.5, 1.0, 2.0, 3.0, 0.25]),
+    "dense": np.linalg.cholesky(toeplitz_covariance(0.5, 5)),
+}
+
+
+@pytest.mark.parametrize("factor", list(_FACTORS), ids=list(_FACTORS))
+@pytest.mark.parametrize("kind, latent, nonlinearity", _VALID_LAWS)
+def test_in_place_draw_has_the_bytes_of_the_explicit_formula(kind, latent, nonlinearity, factor):
+    # The latent block is scaled, pushed through f and shifted in place, in
+    # the order of mean + f(factor g): the same arithmetic, so the same bytes,
+    # from sample_class and from a class's columns of sample_mixture.
+    spec = GeneratorSpec(kind, np.linspace(-1.0, 2.0, 5), _FACTORS[factor], nonlinearity, latent)
+    assert (spec.diagonal is None) == (factor == "dense")
+    want = _explicit_draw(spec, 150, 3, 40)
+    assert sample_class(spec, 150, 3, column_offset=40).tobytes() == want.tobytes()
+    other = GeneratorSpec("gaussian", np.zeros(5), np.eye(5))
+    matrix = sample_mixture([(other, 40), (spec, 150)], seed=3).matrix
+    assert matrix.flags.c_contiguous
+    assert matrix[:, 40:].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("nonlinearity", ["identity", "tanh", "relu"])
+@pytest.mark.parametrize("scale", [0.0, 5e-324, 1.0], ids=["zero", "underflow", "unit"])
+def test_a_zero_mean_is_still_added_so_no_negative_zero_survives(monkeypatch, scale,
+                                                                 nonlinearity):
+    # Adding 0.0 is no no-op on -0.0, which a zero scale entry, an underflowing
+    # one or a signed-zero latent (the ziggurat returns one with probability
+    # 2**-53) leaves behind: the draw keeps the explicit formula's 0.0.
+    real = covspec.sampler._latent_block
+
+    def with_signed_zeros(*args):
+        block = real(*args)
+        block[:, ::7] = -0.0
+        return block
+
+    monkeypatch.setattr(covspec.sampler, "_latent_block", with_signed_zeros)
+    spec = GeneratorSpec("lipschitz-of-gaussian", np.zeros(3), np.diag([1.0, scale, 2.0]),
+                         nonlinearity)
+    g = with_signed_zeros(spec, 70, 5, 0)
+    want = spec.mean[:, None] + _PUSHFORWARD[nonlinearity](spec.factor @ g)
+    assert (want == 0.0).any() and not np.signbit(want[want == 0.0]).any()
+    assert sample_class(spec, 70, 5).tobytes() == want.tobytes()
+    assert sample_mixture([(spec, 70)], 5).matrix.tobytes() == want.tobytes()
+
+
+def test_diagonal_draw_is_an_f_ordered_view_of_its_latent_block():
+    spec = GeneratorSpec("gaussian", np.ones(4), np.diag([1.0, 2.0, 3.0, 4.0]))
+    x = sample_class(spec, 128, 2)
+    assert x.flags.f_contiguous and not x.flags.owndata
+    dense = GeneratorSpec("gaussian", np.ones(4), np.tril(np.ones((4, 4))))
+    assert sample_class(dense, 128, 2).flags.c_contiguous
+
+
+def _traced_peak(fn):
+    """Peak bytes that numpy and Python allocate while ``fn`` runs, after one untraced
+    run has paid the process's first-draw set-up (about 1 MB)."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_isotropic_draw_peaks_at_its_latent_block():
+    # The scale by ones and the add of a zero mean are skipped, so the draw
+    # is its latent block: 4096 whole chunks of 256 entries, and no copy.
+    p, count = 256, 4096
+    spec = GeneratorSpec("gaussian", np.zeros(p), np.eye(p))
+    peak = _traced_peak(lambda: sample_class(spec, count, 1))
+    assert peak <= 1.1 * p * count * 8
+
+
+def test_mixture_draw_peaks_at_its_matrix_plus_the_largest_class_block():
+    # Each class writes into its own columns of the one (p, n) matrix: a
+    # diagonal class through a row scale, a dense one through matmul's out.
+    p, counts = 256, (1024, 3072)
+    pairs = [(GeneratorSpec("gaussian", np.ones(p), np.diag(np.linspace(1.0, 2.0, p))), counts[0]),
+             (GeneratorSpec("lipschitz-of-gaussian", np.zeros(p),
+                            np.linalg.cholesky(toeplitz_covariance(0.5, p)), "tanh"), counts[1])]
+    peak = _traced_peak(lambda: sample_mixture(pairs, 1))
+    assert peak <= 1.1 * p * (sum(counts) + max(counts)) * 8
+
+
+def test_class_model_of_a_diagonal_factor_has_the_bits_of_the_dense_product():
+    d = np.array([0.5, 0.0, 3.0, 1e-3, 2.0])
+    mean = np.array([0.1, 0.0, -1.0, 0.5, 0.0])
+    spec = GeneratorSpec("gaussian", mean, np.diag(d))
+    assert spec.diagonal is not None
+    second = np.outer(mean, mean) + spec.factor @ spec.factor.T
+    second = (second + second.T) / 2.0
+    assert class_model_of(spec, 3).sigma.tobytes() == second.tobytes()
 
 
 def test_sample_class_checks_column_offset():
