@@ -32,10 +32,8 @@ from .equivalent import (
     stieltjes_prediction,
 )
 from .sampler import (
-    EmpiricalSpectrum,
     GeneratorSpec,
     Histogram,
-    MixtureSample,
     bounded_class_spec,
     class_model_of,
     empirical_spectrum,

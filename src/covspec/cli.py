@@ -127,15 +127,15 @@ def cmd_simulate(
     section = config.simulate
     if seed is None:
         seed = section.get("seed", 0)
-    sample = sample_mixture(config.generator_pairs(), seed)
-    spectrum = empirical_spectrum(sample)
+    matrix = sample_mixture(config.generator_pairs(), seed)
+    spectrum = empirical_spectrum(matrix)
     hist = histogram(spectrum, section.get("bins", 20), section.get("transform"))
-    _log(verbose, f"simulate: seed={seed}, p={spectrum.p}, n={spectrum.n}")
+    _log(verbose, f"simulate: seed={seed}, p={matrix.shape[0]}, n={matrix.shape[1]}")
 
     write_csv(
         os.path.join(out_dir, "spectrum.csv"),
         ("index", "eigenvalue"),
-        list(enumerate(spectrum.values)),
+        list(enumerate(spectrum)),
         comments=(f"seed = {seed}",),
     )
     write_csv(
@@ -182,7 +182,7 @@ def cmd_compare(
     samples = _trial_samples(config.generator_pairs(), seed, trials)
     bins = section.get("bins", 20)
     mixture = config.mixture()
-    spectra = [empirical_spectrum(X).values for X in samples]
+    spectra = [empirical_spectrum(X) for X in samples]
     pooled = np.concatenate(spectra)
     _log(verbose, f"compare: {trials} trials sampled")
 

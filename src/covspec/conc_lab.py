@@ -412,12 +412,10 @@ def resolvent_error_sweep(
 
 
 def _isotropic(p) -> GeneratorSpec:
-    """The N(0, I_p) generator that every named check samples; it keeps its read-only identity."""
+    """The N(0, I_p) generator that every named check samples, its factor a row scale of ones."""
     if p < 1:
         raise ParameterError(f"p must be a positive integer, got {p}")
-    eye = np.eye(p)
-    eye.flags.writeable = False
-    return GeneratorSpec("gaussian", np.zeros(p), eye)
+    return GeneratorSpec("gaussian", np.zeros(p), np.ones(p))
 
 
 def _size_sweep(sizes, gamma, seed, error) -> ScalingReport:

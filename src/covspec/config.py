@@ -176,7 +176,12 @@ def _parse_mean(value: str, base_dir: str, where: str) -> np.ndarray | None:
     if tokens == ["zeros"]:
         return None
     if len(tokens) == 2 and tokens[0] == "file":
-        return read_matrix(os.path.join(base_dir, tokens[1])).ravel()
+        path = os.path.join(base_dir, tokens[1])
+        mean = read_matrix(path)
+        if 1 not in mean.shape:
+            raise ParameterError(f"{where}: mean file {path} must be one row or one column, "
+                                 f"got shape {mean.shape}")
+        return mean.ravel()
     raise ParameterError(f"{where}: mean must be 'zeros' or 'file PATH'")
 
 

@@ -29,12 +29,16 @@ def fmt_float(x) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text to path via a same-directory temp file and rename."""
+    """Write text to path via a same-directory temp file and rename. The file gets the
+    mode open() would give it, 0666 less the umask, rather than the temp file's 0600."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        umask = os.umask(0o022)  # reading the umask means setting it; put it back at once
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

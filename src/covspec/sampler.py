@@ -19,15 +19,15 @@ Three generator kinds are supported, each with the laws ``_LAWS`` admits:
   default) or uniform on [-1, 1] and rescaled by sqrt(3), so the latent
   second moment is the identity in both cases.
 
-A draw is its latent block transformed in place: ``sample_class`` returns that
-block (an F-ordered view for a diagonal factor), and ``sample_mixture`` writes
-each class into its columns of one C-ordered (p, n) matrix.
+A spec's factor is a (p,) row scale (a diagonal factor) or a (p, d) matrix. A
+draw is its latent block transformed in place: ``sample_class`` returns that
+block (an F-ordered view for a row scale), and ``sample_mixture`` writes each
+class into its columns of one C-ordered (p, n) matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,8 +37,6 @@ from .model import build_mixture
 
 __all__ = [
     "GeneratorSpec",
-    "MixtureSample",
-    "EmpiricalSpectrum",
     "Histogram",
     "gaussian_class_spec",
     "bounded_class_spec",
@@ -94,7 +92,8 @@ def _check_law(kind: str, nonlinearity: str, latent: str | None) -> str:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSpec:
-    """Recipe for drawing one class's columns."""
+    """Recipe for drawing one class's columns: y = mean + f(factor x), where a (p,) factor
+    scales the rows of x and a (p, d) factor multiplies it."""
 
     kind: str
     mean: np.ndarray
@@ -106,8 +105,9 @@ class GeneratorSpec:
         latent = _check_law(self.kind, self.nonlinearity, self.latent)
         mean = np.asarray(self.mean, dtype=float)
         factor = np.asarray(self.factor, dtype=float)
-        if factor.ndim != 2 or factor.shape[0] < 1:
-            raise ShapeError(f"factor must be 2-d with p >= 1 rows, got shape {factor.shape}")
+        if factor.ndim not in (1, 2) or factor.shape[0] < 1:
+            raise ShapeError(f"factor must be a (p,) row scale or a (p, d) matrix with p >= 1, "
+                             f"got shape {factor.shape}")
         if mean.ndim != 1 or mean.shape[0] != factor.shape[0]:
             raise ShapeError(
                 f"mean has shape {mean.shape}, factor has {factor.shape[0]} rows"
@@ -124,31 +124,7 @@ class GeneratorSpec:
 
     @property
     def dim_latent(self) -> int:
-        return self.factor.shape[1]
-
-    @cached_property
-    def diagonal(self) -> np.ndarray | None:
-        """The factor's diagonal when it is square and zero elsewhere, else None."""
-        return _diagonal(self.factor)
-
-
-@dataclass(frozen=True, eq=False)
-class MixtureSample:
-    """A sampled data matrix with its class membership."""
-
-    matrix: np.ndarray
-    labels: np.ndarray
-    seed: int
-
-
-@dataclass(frozen=True, eq=False)
-class EmpiricalSpectrum:
-    """Ascending eigenvalues of X X^T / n, clamped at the numerical floor."""
-
-    values: np.ndarray
-    p: int
-    n: int
-    seed: int | None = None
+        return self.factor.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,7 +133,6 @@ class Histogram:
 
     edges: np.ndarray
     masses: np.ndarray
-    transform: float | None = None
 
 
 def _class_spec(
@@ -165,8 +140,8 @@ def _class_spec(
 ) -> GeneratorSpec:
     """Generator of ``kind`` for a class ClassModel has judged: its factor is the principal
     square root of S = sigma - mean mean^T (E[y y^T] = sigma for an affine kind), from ``eigh``
-    = (w, V), eigen-pairs of S in any order, else from a diagonal S's diagonal (no eigh, the
-    same bits), else from S's own eigh. Eigenvalues below the relative floor count as zero."""
+    = (w, V), eigen-pairs of S in any order, else the row scale sqrt(diag S) of a diagonal S
+    (no eigh), else from S's own eigh. Eigenvalues below the relative floor count as zero."""
     if eigh is None:
         centered = model.sigma - np.outer(model.mean, model.mean)
         d = _diagonal(centered)
@@ -174,7 +149,7 @@ def _class_spec(
     w, v = eigh
     floor = _RTOL * max(w.max(), 0.0)
     w = np.where(w > floor, w, 0.0)
-    factor = np.diag(np.sqrt(w)) if v is None else (v * np.sqrt(w)) @ v.T
+    factor = np.sqrt(w) if v is None else (v * np.sqrt(w)) @ v.T
     factor.flags.writeable = False  # handed over: the spec keeps it rather than a copy
     return GeneratorSpec(kind, model.mean, factor, nonlinearity, latent)
 
@@ -204,8 +179,8 @@ def class_model_of(spec: GeneratorSpec, n_l: int) -> ClassModel:
             "second moment is not analytic for a nonlinear pushforward; "
             "estimate it from samples instead"
         )
-    d = spec.diagonal  # one nonzero term per entry: np.diag(d * d) holds the product's bits
-    cov = spec.factor @ spec.factor.T if d is None else np.diag(d * d)
+    f = spec.factor  # a row scale's square np.diag(f * f) holds the dense product's bits
+    cov = np.diag(f * f) if f.ndim == 1 else f @ f.T
     second = np.outer(spec.mean, spec.mean) + cov
     second = (second + second.T) / 2.0
     return ClassModel(sigma=second, mean=spec.mean.copy(), n_l=n_l)
@@ -252,13 +227,13 @@ def _draw(spec: GeneratorSpec, count: int, seed: int, offset: int, out=None) -> 
     latent = _latent_block(spec, count, int(seed), offset)
     if spec.latent == "uniform":
         latent *= _SQRT3
-    d = spec.diagonal
-    if d is None:
-        core = np.matmul(spec.factor, latent, out=out)
-    elif out is None and (d == 1.0).all():
+    f = spec.factor
+    if f.ndim == 2:
+        core = np.matmul(f, latent, out=out)
+    elif out is None and (f == 1.0).all():
         core = latent
     else:
-        core = np.multiply(d[:, None], latent, out=latent if out is None else out)
+        core = np.multiply(f[:, None], latent, out=latent if out is None else out)
     nonlinearity = NONLINEARITIES[spec.nonlinearity]
     if nonlinearity is not None:
         nonlinearity(core, out=core)
@@ -275,17 +250,17 @@ def sample_class(
     run passes each class its global column positions so the full matrix is
     reproducible independent of class interleaving. The draw is its latent
     block transformed in place: an F-ordered view of that block when a
-    diagonal factor scales its rows (the same bits as the dense product).
+    (p,) factor scales its rows (the same bits as the dense diagonal product).
     """
     return _draw(spec, count, seed, int(column_offset))
 
 
-def sample_mixture(pairs, seed: int) -> MixtureSample:
+def sample_mixture(pairs, seed: int) -> np.ndarray:
     """Draw a full (p, n) data matrix, columns grouped by class in order.
 
-    ``pairs`` is a sequence of (GeneratorSpec, count). Labels record the
-    class index of every column. The matrix is C-ordered and allocated
-    once: each class writes its columns straight into its own slice.
+    ``pairs`` is a sequence of (GeneratorSpec, count). The matrix is
+    C-ordered and allocated once: each class writes its columns straight
+    into its own slice.
     """
     pairs = [(spec, int(count)) for spec, count in pairs]
     if not pairs:
@@ -298,13 +273,11 @@ def sample_mixture(pairs, seed: int) -> MixtureSample:
             raise ParameterError(f"class counts must be positive, got {count}")
     n = sum(count for _, count in pairs)
     matrix = np.empty((p, n))
-    labels = np.empty(n, dtype=int)
     offset = 0
-    for idx, (spec, count) in enumerate(pairs):
+    for spec, count in pairs:
         _draw(spec, count, seed, offset, out=matrix[:, offset : offset + count])
-        labels[offset : offset + count] = idx
         offset += count
-    return MixtureSample(matrix=matrix, labels=labels, seed=int(seed))
+    return matrix
 
 
 def _trial_samples(pairs, seed: int, trials: int):
@@ -312,39 +285,34 @@ def _trial_samples(pairs, seed: int, trials: int):
     iterates; ``trials`` is checked at the call, before anything is sampled."""
     if trials < 1:
         raise ParameterError(f"trials must be positive, got {trials}")
-    return (sample_mixture(pairs, derive_seed(seed, t)).matrix for t in range(trials))
+    return (sample_mixture(pairs, derive_seed(seed, t)) for t in range(trials))
 
 
-def empirical_spectrum(X, seed: int | None = None) -> EmpiricalSpectrum:
-    """Ascending spectrum of the sample covariance X X^T / n.
+def empirical_spectrum(X) -> np.ndarray:
+    """Ascending eigenvalues of the sample covariance X X^T / n.
 
     Tiny negative eigenvalues from roundoff are clamped to zero; anything
     below -_RTOL times the largest eigenvalue is treated as data corruption.
     """
-    if isinstance(X, MixtureSample):
-        if seed is None:
-            seed = X.seed
-        X = X.matrix
     X = _data_matrix(X)
-    p, n = X.shape
+    n = X.shape[1]
     vals = np.linalg.eigvalsh(_gram(X, n))
     top = max(vals[-1], 0.0)
     if vals[0] < -_RTOL * max(top, 1e-300):
         raise DataError(
             f"eigenvalue {vals[0]:g} below the numerical floor; matrix corrupted"
         )
-    vals = np.maximum(vals, 0.0)
-    return EmpiricalSpectrum(values=vals, p=p, n=n, seed=seed)
+    return np.maximum(vals, 0.0)
 
 
 def histogram(spectrum, bins, transform: float | None = None) -> Histogram:
-    """Normalized histogram of a spectrum, optionally pushed through x -> x^t.
+    """Normalized histogram of a spectrum's eigenvalues, optionally pushed through x -> x^t.
 
     ``bins`` is a bin count or an explicit ascending edge array; explicit
     edges must cover every (transformed) eigenvalue so the masses sum to
     one.
     """
-    values = np.asarray(getattr(spectrum, "values", spectrum), dtype=float)
+    values = np.asarray(spectrum, dtype=float)
     if values.ndim != 1 or values.size == 0:
         raise ShapeError("spectrum must be a nonempty 1-d array")
     if transform is not None:
@@ -369,17 +337,13 @@ def histogram(spectrum, bins, transform: float | None = None) -> Histogram:
                 f"range [{values.min():g}, {values.max():g}]"
             )
         counts, edges = np.histogram(values, bins=edges)
-    return Histogram(
-        edges=edges,
-        masses=counts / values.size,
-        transform=None if transform is None else float(transform),
-    )
+    return Histogram(edges=edges, masses=counts / values.size)
 
 
 def spectral_ks_distance(a, b) -> float:
-    """Kolmogorov distance between the spectra's empirical distributions."""
-    va = np.sort(np.asarray(getattr(a, "values", a), dtype=float))
-    vb = np.sort(np.asarray(getattr(b, "values", b), dtype=float))
+    """Kolmogorov distance between the empirical distributions of two eigenvalue arrays."""
+    va = np.sort(np.asarray(a, dtype=float))
+    vb = np.sort(np.asarray(b, dtype=float))
     if va.size == 0 or vb.size == 0:
         raise ShapeError("both spectra must be nonempty")
     grid = np.concatenate([va, vb])

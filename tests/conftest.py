@@ -40,6 +40,11 @@ def identity_mixture(p: int, n: int):
     )
 
 
+def dense_factor(factor):
+    """The (p, d) matrix of a generator factor: a (p,) row scale is its diagonal matrix."""
+    return np.diag(factor) if factor.ndim == 1 else factor
+
+
 def no_sampling(*args, **kwargs):
     """Stand-in for a sampler, patched in to show that arguments are checked first."""
     raise AssertionError("sampled before the arguments were checked")

@@ -99,8 +99,8 @@ def test_criterion_03_two_class_histogram_and_stieltjes():
     m_emp = np.empty((10, z_grid.size))
     for s in range(10):
         spectrum = empirical_spectrum(sample_mixture(pairs, s))
-        pooled.append(spectrum.values)
-        m_emp[s] = [float(np.mean(1.0 / (spectrum.values + z))) for z in z_grid]
+        pooled.append(spectrum)
+        m_emp[s] = [float(np.mean(1.0 / (spectrum + z))) for z in z_grid]
     pooled = np.concatenate(pooled)
 
     top = float(pooled.max())

@@ -330,7 +330,7 @@ def _leave_one_out_draws(pairs, z, trials, seed):
     starts = np.cumsum([0] + [count for _, count in pairs[:-1]])
     draws = np.empty((trials, len(pairs)))
     for t in range(trials):
-        X = sample_mixture(pairs, derive_seed(seed, t)).matrix
+        X = sample_mixture(pairs, derive_seed(seed, t))
         S = X @ X.T / n
         S = (S + S.T) / 2.0
         for l, j in enumerate(starts):

@@ -170,7 +170,7 @@ def test_generator_fields_flow_into_spec(tmp_path):
     [(spec, count)] = cfg.generator_pairs()
     assert spec.kind == "lipschitz-of-gaussian"
     assert spec.nonlinearity == "tanh"
-    np.testing.assert_allclose(spec.factor @ spec.factor.T, np.eye(3), atol=1e-12)
+    np.testing.assert_array_equal(spec.factor, np.ones(3))  # the identity's root as a row scale
     assert count == 6
 
 
@@ -323,6 +323,31 @@ def test_mean_rejects_inline_vectors(tmp_path):
     """
     with pytest.raises(ParameterError, match="mean must be"):
         load_config(write_config(tmp_path, body))
+
+
+@pytest.mark.parametrize("rows, vector", [("0.5,1,2,3\n", True), ("0.5\n1\n2\n3\n", True),
+                                          ("0.5,1\n2,3\n", False)], ids=["row", "column", "2x2"])
+def test_mean_file_must_be_one_row_or_one_column(tmp_path, rows, vector):
+    # A 2 x 2 file holds p = 4 numbers but is no vector: it is not read as one.
+    (tmp_path / "mean.csv").write_text(rows)
+    body = """
+        [mixture]
+        p = 4
+        n = 10
+        classes = a
+
+        [class.a]
+        n_l = 10
+        sigma = identity
+        mean = file mean.csv
+    """
+    path = write_config(tmp_path, body)
+    if vector:
+        np.testing.assert_array_equal(load_config(path).class_configs[0].mean, [0.5, 1, 2, 3])
+    else:
+        with pytest.raises(ParameterError, match=r"\[class\.a\]: mean file \S*mean\.csv must be "
+                           r"one row or one column, got shape \(2, 2\)"):
+            load_config(path)
 
 
 def test_conclab_checks_parsed_and_validated(tmp_path):

@@ -1,6 +1,7 @@
 """File format round-trips and error reporting for the delimited readers."""
 
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -29,6 +30,14 @@ def test_atomic_write_creates_and_overwrites(tmp_path):
     assert target.read_text() == "second\n"
     # No temp residue left behind.
     assert os.listdir(tmp_path) == ["out.txt"]
+    # The file gets the mode open() would give it under the umask, not the temp file's 0600.
+    for umask, mode in ((0o022, 0o644), (0o027, 0o640)):
+        old = os.umask(umask)
+        try:
+            atomic_write_text(str(target), "third\n")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(target.stat().st_mode) == mode
 
 
 def test_atomic_write_failure_propagates_and_leaves_no_temp_file(tmp_path, monkeypatch):

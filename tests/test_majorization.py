@@ -131,7 +131,7 @@ def test_sample_singular_values_match_spectrum(rng):
     # Squared singular values over n are exactly the empirical spectrum
     # (including the zero padding when p > n).
     X = rng.standard_normal((8, 5))
-    lam = empirical_spectrum(X).values
+    lam = empirical_spectrum(X)
     sv = singular_values(X)
     padded = np.zeros(8)
     padded[:5] = sv**2 / 5

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import identity_mixture
+from conftest import dense_factor, identity_mixture
 from covspec import (
     ClassModel,
     DataError,
@@ -779,16 +779,17 @@ def test_joint_basis_roots_match_each_class_own_root(tmp_path, text):
     for c, (spec, n_l) in zip(config.class_configs, config.generator_pairs()):
         scale = np.abs(c.sigma).max()
         assert n_l == c.n_l
-        assert np.abs(spec.factor - _own_root(c.model)).max() <= 1e-13 * scale
-        assert np.abs(spec.factor @ spec.factor.T - c.sigma).max() <= 1e-13 * scale
+        factor = dense_factor(spec.factor)
+        assert np.abs(factor - _own_root(c.model)).max() <= 1e-13 * scale
+        assert np.abs(factor @ factor.T - c.sigma).max() <= 1e-13 * scale
 
 
 def test_diagonal_class_keeps_its_own_exact_root(tmp_path):
     # The identity class of a commuting mixture: its root is its diagonal, so
-    # the factor stays diagonal and the sampler scales rows.
+    # the factor is that diagonal's row scale and the sampler scales rows.
     config = _predict_config(tmp_path, THREE_CLASS_MIXTURE, "three.ini")
     iso = config.generator_pairs()[0][0]
-    assert iso.diagonal is not None
+    assert iso.factor.shape == (600,)
     assert iso.factor.tobytes() == gaussian_class_spec(np.eye(600)).factor.tobytes()
 
 
@@ -796,15 +797,14 @@ def test_diagonal_class_keeps_its_own_exact_root(tmp_path):
     np.ones(50), np.arange(1.0, 51.0), np.r_[0.0, np.arange(1.0, 50.0)], np.r_[1e-12, np.ones(49)],
 ], ids=["identity", "1..p", "zero-entry", "below-floor"])
 def test_diagonal_root_is_the_square_root_of_the_floored_diagonal(diag, counted):
-    # No eigh: the factor is diag(sqrt(d)) with d floored at 1e-10 of its top
-    # entry, to the bit the factor that the class's own eigh gives.
+    # No eigh: the factor is the row scale sqrt(d) with d floored at 1e-10 of its
+    # top entry, as a matrix to the bit the factor that the class's own eigh gives.
     model = ClassModel(np.diag(diag), np.zeros(50), 1)
     spec = _class_spec("gaussian", model)
     assert counted["eigh"].calls == 0
     floored = np.where(diag > 1e-10 * diag.max(), diag, 0.0)
-    assert spec.factor.tobytes() == np.diag(np.sqrt(floored)).tobytes()
-    assert spec.factor.tobytes() == _own_root(model).tobytes()
-    assert spec.diagonal.tobytes() == np.sqrt(floored).tobytes()
+    assert spec.factor.tobytes() == np.sqrt(floored).tobytes()
+    assert np.diag(spec.factor).tobytes() == _own_root(model).tobytes()
 
 
 def test_simulate_on_diagonal_classes_writes_the_bytes_of_their_own_eigh_roots(

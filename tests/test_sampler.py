@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import no_sampling
+from conftest import dense_factor, no_sampling
 import covspec.sampler
 from covspec import (
     ClassModel,
@@ -168,7 +168,13 @@ def test_generator_spec_shape_checks():
     with pytest.raises(ShapeError):
         GeneratorSpec(kind="gaussian", mean=np.zeros(3), factor=np.eye(2))
     with pytest.raises(ShapeError):
-        GeneratorSpec(kind="gaussian", mean=np.zeros(2), factor=np.zeros(2))
+        GeneratorSpec(kind="gaussian", mean=np.zeros(3), factor=np.ones(2))
+    # A (p,) factor is a diagonal factor's row scale, with d = p latent rows.
+    spec = GeneratorSpec(kind="gaussian", mean=np.zeros(2), factor=np.array([0.5, 2.0]))
+    assert spec.factor.shape == (2,) and (spec.p, spec.dim_latent) == (2, 2)
+    for factor in (np.float64(1.0), np.ones((2, 2, 1)), np.zeros(0)):
+        with pytest.raises(ShapeError, match="row scale or a"):
+            GeneratorSpec(kind="gaussian", mean=np.zeros(2), factor=factor)
 
 
 def test_generator_spec_rejects_zero_dimension():
@@ -261,19 +267,14 @@ def test_columns_depend_only_on_global_index():
         np.testing.assert_allclose(block[:, j], single[:, 0], rtol=0, atol=1e-14)
 
 
-def test_sample_mixture_layout_and_labels():
+def test_sample_mixture_layout():
     s1 = gaussian_class_spec(np.eye(4))
     s2 = bounded_class_spec(2.0 * np.eye(4))
-    sample = sample_mixture([(s1, 3), (s2, 5)], seed=11)
-    assert sample.matrix.shape == (4, 8)
-    np.testing.assert_array_equal(sample.labels, [0, 0, 0, 1, 1, 1, 1, 1])
+    matrix = sample_mixture([(s1, 3), (s2, 5)], seed=11)
+    assert matrix.shape == (4, 8)
     # Class blocks reproduce standalone draws at the right offsets.
-    np.testing.assert_array_equal(
-        sample.matrix[:, :3], sample_class(s1, 3, seed=11, column_offset=0)
-    )
-    np.testing.assert_array_equal(
-        sample.matrix[:, 3:], sample_class(s2, 5, seed=11, column_offset=3)
-    )
+    np.testing.assert_array_equal(matrix[:, :3], sample_class(s1, 3, seed=11, column_offset=0))
+    np.testing.assert_array_equal(matrix[:, 3:], sample_class(s2, 5, seed=11, column_offset=3))
 
 
 LAWS = [
@@ -283,11 +284,13 @@ LAWS = [
 ]
 
 
-def diagonal_spec(kind, latent, p=5):
+def diagonal_spec(kind, latent, p=5, shape="row scale"):
+    """A spec whose factor is diag(1 .. p), as its (p,) row scale or as a (p, p) matrix."""
+    scale = np.arange(1.0, p + 1)
     return GeneratorSpec(
         kind=kind,
         mean=np.linspace(-1.0, 1.0, p),
-        factor=np.diag(np.arange(1.0, p + 1)),
+        factor=scale if shape == "row scale" else np.diag(scale),
         latent=latent,
     )
 
@@ -344,10 +347,10 @@ def test_sample_mixture_classes_straddling_chunks_match_standalone_draws():
     specs = [diagonal_spec(*law, p=4) for law in LAWS]
     specs.append(gaussian_class_spec(toeplitz_covariance(0.4, 4)))
     counts = [63, 2, 129, 70]
-    sample = sample_mixture(list(zip(specs, counts)), seed=13)
+    matrix = sample_mixture(list(zip(specs, counts)), seed=13)
     offset = 0
     for spec, count in zip(specs, counts):
-        block = sample.matrix[:, offset : offset + count]
+        block = matrix[:, offset : offset + count]
         np.testing.assert_array_equal(
             block, sample_class(spec, count, seed=13, column_offset=offset)
         )
@@ -399,19 +402,21 @@ def test_classes_sharing_a_chunk_read_disjoint_streams(monkeypatch, first, secon
     assert words_a and words_b
     assert not words_a & words_b
     if first[0] == second[0]:
-        sample = sample_mixture([(a, 63), (b, 65)], seed)
-        latent_a = sample.matrix[: first[1], :63]
-        latent_b = sample.matrix[: second[1], 63:]
+        matrix = sample_mixture([(a, 63), (b, 65)], seed)
+        latent_a = matrix[: first[1], :63]
+        latent_b = matrix[: second[1], 63:]
         assert np.intersect1d(latent_a, latent_b).size == 0
 
 
+@pytest.mark.parametrize("shape", ["row scale", "matrix"])
 @pytest.mark.parametrize("kind,latent", LAWS)
-def test_diagonal_factor_equals_dense_product_exactly(kind, latent):
-    spec = diagonal_spec(kind, latent, p=7)
-    assert spec.diagonal is not None
+def test_diagonal_factor_equals_dense_product_exactly(kind, latent, shape):
+    # A row scale scales the latent rows in place and a diagonal matrix takes
+    # matmul: one nonzero term per entry, so both hold the dense product's bits.
+    spec = diagonal_spec(kind, latent, p=7, shape=shape)
     latent_block = _latent_block(spec, 150, 3, 40)
     scale = np.sqrt(3.0) if latent == "uniform" else 1.0
-    dense = spec.mean[:, None] + spec.factor @ (scale * latent_block)
+    dense = spec.mean[:, None] + np.diag(np.arange(1.0, 8.0)) @ (scale * latent_block)
     np.testing.assert_array_equal(sample_class(spec, 150, 3, column_offset=40), dense)
 
 
@@ -422,7 +427,6 @@ def test_diagonal_factor_equals_dense_product_exactly(kind, latent):
 )
 def test_non_diagonal_factor_takes_the_dense_product(factor):
     spec = GeneratorSpec(kind="gaussian", mean=np.zeros(4), factor=factor)
-    assert spec.diagonal is None
     got = sample_class(spec, 70, 8, column_offset=60)
     np.testing.assert_array_equal(got, factor @ _latent_block(spec, 70, 8, 60))
 
@@ -432,10 +436,12 @@ def _explicit_draw(spec, count, seed, offset):
     g = _latent_block(spec, count, seed, offset)
     if spec.latent == "uniform":
         g = np.sqrt(3.0) * g
-    return spec.mean[:, None] + _PUSHFORWARD[spec.nonlinearity](spec.factor @ g)
+    return spec.mean[:, None] + _PUSHFORWARD[spec.nonlinearity](dense_factor(spec.factor) @ g)
 
 
 _FACTORS = {
+    "unit row scale": np.ones(5),
+    "row scale": np.array([0.5, 1.0, 2.0, 3.0, 0.25]),
     "unit diagonal": np.eye(5),
     "diagonal": np.diag([0.5, 1.0, 2.0, 3.0, 0.25]),
     "dense": np.linalg.cholesky(toeplitz_covariance(0.5, 5)),
@@ -449,11 +455,10 @@ def test_in_place_draw_has_the_bytes_of_the_explicit_formula(kind, latent, nonli
     # the order of mean + f(factor g): the same arithmetic, so the same bytes,
     # from sample_class and from a class's columns of sample_mixture.
     spec = GeneratorSpec(kind, np.linspace(-1.0, 2.0, 5), _FACTORS[factor], nonlinearity, latent)
-    assert (spec.diagonal is None) == (factor == "dense")
     want = _explicit_draw(spec, 150, 3, 40)
     assert sample_class(spec, 150, 3, column_offset=40).tobytes() == want.tobytes()
-    other = GeneratorSpec("gaussian", np.zeros(5), np.eye(5))
-    matrix = sample_mixture([(other, 40), (spec, 150)], seed=3).matrix
+    other = GeneratorSpec("gaussian", np.zeros(5), np.ones(5))
+    matrix = sample_mixture([(other, 40), (spec, 150)], seed=3)
     assert matrix.flags.c_contiguous
     assert matrix[:, 40:].tobytes() == want.tobytes()
 
@@ -473,17 +478,17 @@ def test_a_zero_mean_is_still_added_so_no_negative_zero_survives(monkeypatch, sc
         return block
 
     monkeypatch.setattr(covspec.sampler, "_latent_block", with_signed_zeros)
-    spec = GeneratorSpec("lipschitz-of-gaussian", np.zeros(3), np.diag([1.0, scale, 2.0]),
+    spec = GeneratorSpec("lipschitz-of-gaussian", np.zeros(3), np.array([1.0, scale, 2.0]),
                          nonlinearity)
     g = with_signed_zeros(spec, 70, 5, 0)
-    want = spec.mean[:, None] + _PUSHFORWARD[nonlinearity](spec.factor @ g)
+    want = spec.mean[:, None] + _PUSHFORWARD[nonlinearity](dense_factor(spec.factor) @ g)
     assert (want == 0.0).any() and not np.signbit(want[want == 0.0]).any()
     assert sample_class(spec, 70, 5).tobytes() == want.tobytes()
-    assert sample_mixture([(spec, 70)], 5).matrix.tobytes() == want.tobytes()
+    assert sample_mixture([(spec, 70)], 5).tobytes() == want.tobytes()
 
 
 def test_diagonal_draw_is_an_f_ordered_view_of_its_latent_block():
-    spec = GeneratorSpec("gaussian", np.ones(4), np.diag([1.0, 2.0, 3.0, 4.0]))
+    spec = GeneratorSpec("gaussian", np.ones(4), np.array([1.0, 2.0, 3.0, 4.0]))
     x = sample_class(spec, 128, 2)
     assert x.flags.f_contiguous and not x.flags.owndata
     dense = GeneratorSpec("gaussian", np.ones(4), np.tril(np.ones((4, 4))))
@@ -506,7 +511,7 @@ def test_isotropic_draw_peaks_at_its_latent_block():
     # The scale by ones and the add of a zero mean are skipped, so the draw
     # is its latent block: 4096 whole chunks of 256 entries, and no copy.
     p, count = 256, 4096
-    spec = GeneratorSpec("gaussian", np.zeros(p), np.eye(p))
+    spec = GeneratorSpec("gaussian", np.zeros(p), np.ones(p))
     peak = _traced_peak(lambda: sample_class(spec, count, 1))
     assert peak <= 1.1 * p * count * 8
 
@@ -515,19 +520,19 @@ def test_mixture_draw_peaks_at_its_matrix_plus_the_largest_class_block():
     # Each class writes into its own columns of the one (p, n) matrix: a
     # diagonal class through a row scale, a dense one through matmul's out.
     p, counts = 256, (1024, 3072)
-    pairs = [(GeneratorSpec("gaussian", np.ones(p), np.diag(np.linspace(1.0, 2.0, p))), counts[0]),
+    pairs = [(GeneratorSpec("gaussian", np.ones(p), np.linspace(1.0, 2.0, p)), counts[0]),
              (GeneratorSpec("lipschitz-of-gaussian", np.zeros(p),
                             np.linalg.cholesky(toeplitz_covariance(0.5, p)), "tanh"), counts[1])]
     peak = _traced_peak(lambda: sample_mixture(pairs, 1))
     assert peak <= 1.1 * p * (sum(counts) + max(counts)) * 8
 
 
-def test_class_model_of_a_diagonal_factor_has_the_bits_of_the_dense_product():
+@pytest.mark.parametrize("shape", ["row scale", "matrix"])
+def test_class_model_of_a_diagonal_factor_has_the_bits_of_the_dense_product(shape):
     d = np.array([0.5, 0.0, 3.0, 1e-3, 2.0])
     mean = np.array([0.1, 0.0, -1.0, 0.5, 0.0])
-    spec = GeneratorSpec("gaussian", mean, np.diag(d))
-    assert spec.diagonal is not None
-    second = np.outer(mean, mean) + spec.factor @ spec.factor.T
+    spec = GeneratorSpec("gaussian", mean, d if shape == "row scale" else np.diag(d))
+    second = np.outer(mean, mean) + np.diag(d) @ np.diag(d).T
     second = (second + second.T) / 2.0
     assert class_model_of(spec, 3).sigma.tobytes() == second.tobytes()
 
@@ -584,7 +589,7 @@ def test_trial_samples_are_lazy_with_one_seed_per_trial(monkeypatch):
     got = [first] + list(stream)
     assert seeds == [derive_seed(7, t) for t in range(3)]
     for t, matrix in enumerate(got):
-        assert matrix.tobytes() == sample_mixture(pairs, derive_seed(7, t)).matrix.tobytes()
+        assert matrix.tobytes() == sample_mixture(pairs, derive_seed(7, t)).tobytes()
 
 
 def test_gaussian_sample_moments():
@@ -626,29 +631,29 @@ def test_relu_sample_is_the_positive_part_of_the_identity_sample():
 
 def test_empirical_spectrum_trace_identity(rng):
     x = rng.standard_normal((12, 30))
-    spec = empirical_spectrum(x)
-    np.testing.assert_allclose(
-        spec.values.sum(), (x**2).sum() / 30, rtol=1e-10
-    )
-    assert spec.p == 12
-    assert spec.n == 30
-    assert np.all(np.diff(spec.values) >= 0)
+    values = empirical_spectrum(x)
+    np.testing.assert_allclose(values.sum(), (x**2).sum() / 30, rtol=1e-10)
+    assert values.shape == (12,)
+    assert np.all(np.diff(values) >= 0)
 
 
 def test_empirical_spectrum_zero_padding_rank(rng):
     # Rank of X X^T / n is at most n, so p - n eigenvalues vanish up to
     # the symmetric eigensolver's floor.
     x = rng.standard_normal((6, 2))
-    spec = empirical_spectrum(x)
-    floor = 1e-12 * spec.values.max()
-    assert np.sum(np.abs(spec.values) <= floor) >= 4
-    assert np.all(spec.values >= -floor)
+    values = empirical_spectrum(x)
+    floor = 1e-12 * values.max()
+    assert np.sum(np.abs(values) <= floor) >= 4
+    assert np.all(values >= -floor)
 
 
 def test_empirical_spectrum_takes_mixture_sample():
-    sample = sample_mixture([(gaussian_class_spec(np.eye(3)), 5)], seed=21)
-    spec = empirical_spectrum(sample)
-    assert spec.seed == 21
+    # A sample is its matrix and a spectrum its clamped ascending eigenvalues.
+    matrix = sample_mixture([(gaussian_class_spec(np.eye(3)), 5)], seed=21)
+    values = empirical_spectrum(matrix)
+    gram = matrix @ matrix.T / 5
+    want = np.maximum(np.linalg.eigvalsh((gram + gram.T) / 2.0), 0.0)
+    assert values.tobytes() == want.tobytes()
 
 
 def test_empirical_spectrum_rejects_bad_input():
@@ -663,7 +668,7 @@ def test_empirical_spectrum_rejects_bad_input():
 def test_histogram_explicit_edges():
     hist = histogram(np.array([1.0, 1.0, 3.0, 3.0]), np.array([0.0, 2.0, 4.0]))
     np.testing.assert_allclose(hist.masses, [0.5, 0.5])
-    assert hist.transform is None
+    np.testing.assert_array_equal(hist.edges, [0.0, 2.0, 4.0])
 
 
 def test_histogram_bin_count_masses_sum_to_one(rng):
@@ -677,7 +682,6 @@ def test_histogram_transform_takes_roots():
         np.array([1.0, 4.0, 9.0]), np.array([0.0, 1.5, 2.5, 3.5]), transform=0.5
     )
     np.testing.assert_allclose(hist.masses, [1 / 3, 1 / 3, 1 / 3])
-    assert hist.transform == 0.5
 
 
 def test_histogram_validation():
